@@ -81,9 +81,10 @@ degrade:
 bench:
 	$(GO) run ./cmd/benchpipe -o BENCH_pipeline.json
 
-# Performance gate: re-runs the suite and fails if cold builds or
-# incremental rebuilds regressed more than 20% (time or allocations)
-# against the checked-in BENCH_pipeline.json.
+# Performance gate: re-runs the suite and fails if cold builds,
+# incremental rebuilds, workload decoding or the cache-hit handler
+# regressed more than 20% (time or allocations) against the checked-in
+# BENCH_pipeline.json.
 bench-check:
 	sh scripts/bench-check.sh
 
@@ -94,10 +95,12 @@ bench-serve:
 	sh scripts/bench-serve.sh
 
 # Native fuzzers: the checkpoint-journal parser, the workload reader
-# (plain and release-aware), and the chaos scenario parser, each
-# briefly past their checked-in seed corpora.
+# (plain, release-aware, and its canonical fast path against
+# encoding/json), and the chaos scenario parser, each briefly past
+# their checked-in seed corpora.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=10s ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkload$$' -fuzztime=10s ./internal/graphio/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkloadRelease$$' -fuzztime=10s ./internal/graphio/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkloadReference$$' -fuzztime=10s ./internal/graphio/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseScenario$$' -fuzztime=10s ./internal/chaos/

@@ -24,6 +24,11 @@
 //   - breakdown/cache=off     breakdown-factor bisection, re-planning on
 //     every probe
 //   - breakdown/cache=on      the same bisection planning once
+//   - serve/decode            graphio.ReadWorkload on the 120-task
+//     request body pland is sent (WriteWorkload's output)
+//   - serve/handler-hit       one cache-hit POST /plan of that body
+//     through server.Handler() in process: body read, decode, lookup,
+//     answer encode and write, without a network
 //
 // The off/on contrast and the cold/rebuild contrast are the headline
 // numbers: the plan cache is what makes the robustness bisection
@@ -33,22 +38,27 @@
 // deadlines costs a fixed-point iteration, not a timeline.
 //
 // With -check BASELINE the suite instead runs fresh and exits nonzero
-// if the cold-build numbers regressed more than 20% against the
-// checked-in baseline (the CI performance gate).
+// if the cold-build or serve numbers regressed more than 20% against
+// the checked-in baseline (the CI performance gate).
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graphio"
 	"repro/internal/pipeline"
 	"repro/internal/robust"
 	"repro/internal/rtime"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/verify"
 )
@@ -314,6 +324,43 @@ func run(out, check string) error {
 		rep.BreakdownSpeedup = off.NsPerOp / on.NsPerOp
 	}
 
+	// The serving layers around a plan, on the same 120-task workload:
+	// the request body as clients send it, decoded alone and then
+	// planned from cache through the whole handler.
+	var body bytes.Buffer
+	if err := graphio.WriteWorkload(&body, vw.Graph, vw.Platform); err != nil {
+		return err
+	}
+	bench("serve/decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := graphio.ReadWorkload(bytes.NewReader(body.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	const planURL = "/plan?metric=ADAPT-L&wcet=WCET-AVG&dispatcher=time-driven&verify=analytic-first"
+	handler := server.New(server.Options{}).Handler()
+	post := func() error {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, planURL, bytes.NewReader(body.Bytes())))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("serve bench: status %d: %s", rec.Code, rec.Body)
+		}
+		return nil
+	}
+	if err := post(); err != nil { // the cold build every timed post hits
+		return err
+	}
+	bench("serve/handler-hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := post(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	if check != "" {
 		return checkAgainst(check, rep)
 	}
@@ -340,9 +387,10 @@ func run(out, check string) error {
 const checkTolerance = 0.20
 
 // checkAgainst gates the fresh run rep on the baseline at path. Only
-// the cold-build benchmarks are gated — the cached/fingerprint paths
-// are sub-10µs and too noisy for a CI tripwire, and the breakdown
-// bisections are derived from the same cold path.
+// the cold-build and serve benchmarks are gated — the
+// cached/fingerprint paths are sub-10µs and too noisy for a CI
+// tripwire, and the breakdown bisections are derived from the same
+// cold path.
 func checkAgainst(path string, rep report) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -356,7 +404,8 @@ func checkAgainst(path string, rep report) error {
 	for _, r := range base.Results {
 		baseBy[r.Name] = r
 	}
-	gated := []string{"build/cold", "build/cold-pooled", "build/rebuild-estimates", "build/rebuild-wcet"}
+	gated := []string{"build/cold", "build/cold-pooled", "build/rebuild-estimates", "build/rebuild-wcet",
+		"serve/decode", "serve/handler-hit"}
 	failed := false
 	for _, name := range gated {
 		b, ok := baseBy[name]
@@ -393,7 +442,7 @@ func checkAgainst(path string, rep report) error {
 		}
 	}
 	if failed {
-		return fmt.Errorf("cold-build performance regressed beyond %.0f%% of %s", 100*checkTolerance, path)
+		return fmt.Errorf("cold-build or serve performance regressed beyond %.0f%% of %s", 100*checkTolerance, path)
 	}
 	return nil
 }

@@ -6,18 +6,38 @@ import (
 	"testing"
 )
 
+// workloadSeeds and releaseSeeds are the seed inputs of FuzzReadWorkload
+// and FuzzReadWorkloadRelease; FuzzReadWorkloadReference starts from
+// both.
+var workloadSeeds = []string{
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]},{"wcet":[3],"eteDeadline":40,"criticality":1,"value":2}],"arcs":[{"from":0,"to":1,"items":2}]}}`,
+	`{"graph":{"numClasses":2,"tasks":[{"wcet":[5,-1],"pinned":0}],"arcs":[]},"platform":{"kind":"unrelated","classes":[{"name":"a","speed":1},{"name":"b","speed":2}],"classOf":[0,1],"busDelayPerItem":1,"links":[{"a":0,"b":1,"perItem":3}]}}`,
+	`{"graph":{"numClasses":0,"tasks":[],"arcs":[]}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[{"from":0,"to":7}]}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5],"criticality":9}]}}`,
+	`garbage`,
+	`{}`,
+}
+
+var releaseSeeds = []string{
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]},{"wcet":[3],"eteDeadline":40}],"arcs":[{"from":0,"to":1,"items":2}]},"release":{"mode":"sporadic","count":4,"minGap":30,"jitter":5}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":2,"minGap":10}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":2,"minGap":10,"jitter":10}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":0,"minGap":10}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"every-tuesday"}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"single","count":3}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":2,"minGap":-4}}`,
+	`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]}}`,
+}
+
 // FuzzReadWorkload hammers the workload reader with malformed JSON. The
 // contract: it never panics (malformed structure is an error, not a
 // crash), and any workload it accepts survives an encode/decode
 // round-trip unchanged.
 func FuzzReadWorkload(f *testing.F) {
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]},{"wcet":[3],"eteDeadline":40,"criticality":1,"value":2}],"arcs":[{"from":0,"to":1,"items":2}]}}`))
-	f.Add([]byte(`{"graph":{"numClasses":2,"tasks":[{"wcet":[5,-1],"pinned":0}],"arcs":[]},"platform":{"kind":"unrelated","classes":[{"name":"a","speed":1},{"name":"b","speed":2}],"classOf":[0,1],"busDelayPerItem":1,"links":[{"a":0,"b":1,"perItem":3}]}}`))
-	f.Add([]byte(`{"graph":{"numClasses":0,"tasks":[],"arcs":[]}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[{"from":0,"to":7}]}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5],"criticality":9}]}}`))
-	f.Add([]byte(`garbage`))
-	f.Add([]byte(`{}`))
+	for _, seed := range workloadSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p, err := ReadWorkload(bytes.NewReader(data))
 		if err != nil {
@@ -52,14 +72,9 @@ func FuzzReadWorkload(f *testing.F) {
 // silent single-shot fallback) and must survive an encode/decode
 // round-trip unchanged.
 func FuzzReadWorkloadRelease(f *testing.F) {
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]},{"wcet":[3],"eteDeadline":40}],"arcs":[{"from":0,"to":1,"items":2}]},"release":{"mode":"sporadic","count":4,"minGap":30,"jitter":5}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":2,"minGap":10}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":2,"minGap":10,"jitter":10}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":0,"minGap":10}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"every-tuesday"}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"single","count":3}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]},"release":{"mode":"sporadic","count":2,"minGap":-4}}`))
-	f.Add([]byte(`{"graph":{"numClasses":1,"tasks":[{"wcet":[5]}],"arcs":[]}}`))
+	for _, seed := range releaseSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p, rel, err := ReadWorkloadRelease(bytes.NewReader(data))
 		if err != nil {

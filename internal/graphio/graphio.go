@@ -5,9 +5,19 @@
 // The on-disk format is deliberately explicit — no pointers, no derived
 // fields — so files remain stable under refactoring of the in-memory
 // types.
+//
+// Reading has a canonical fast path and a reference. Input in the form
+// WriteWorkload and WriteWorkloadRelease emit is scanned in one pass
+// without reflection; anything else is handed, as the same bytes, to
+// encoding/json, the reference, so every input decodes to encoding/json's
+// result and error text. Either way the decoded values share no memory
+// with the input: a server that caches plans must not pin request
+// bodies. The planning service appends its answers by hand in the same
+// spirit, byte-identical to encoding/json's indented encoding.
 package graphio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -140,7 +150,7 @@ func DecodeGraph(in GraphJSON) (*taskgraph.Graph, error) {
 	if in.NumClasses <= 0 {
 		return nil, fmt.Errorf("graphio: graph declares %d processor classes", in.NumClasses)
 	}
-	g := taskgraph.NewGraph(in.NumClasses)
+	g := taskgraph.NewGraphSized(in.NumClasses, len(in.Tasks), len(in.Arcs))
 	for i, tj := range in.Tasks {
 		if tj.Criticality != int(taskgraph.Mandatory) && tj.Criticality != int(taskgraph.Optional) {
 			return nil, fmt.Errorf("graphio: task %d has unknown criticality %d", i, tj.Criticality)
@@ -303,11 +313,37 @@ func ReadWorkload(r io.Reader) (*taskgraph.Graph, *arch.Platform, error) {
 // policy. A file without a release block yields the single-shot zero
 // value; a malformed block (unknown mode, zero count or gap, jitter at
 // or above the gap) is an error, not a silent single-shot fallback.
+// It reads all of r, and decodes what it read as ParseWorkload does.
 func ReadWorkloadRelease(r io.Reader) (*taskgraph.Graph, *arch.Platform, gen.Release, error) {
-	var wl WorkloadJSON
-	if err := json.NewDecoder(r).Decode(&wl); err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		// Room for the final read to see EOF without growing.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, nil, gen.Release{}, fmt.Errorf("graphio: %w", err)
 	}
+	return ParseWorkload(buf.Bytes())
+}
+
+// ParseWorkload decodes the workload in b: the first JSON value, as
+// json.Decoder reads it. Input in the canonical form (see the package
+// doc) takes the one-pass scanner; anything else is decoded by
+// encoding/json, so every input gets encoding/json's result and error
+// text. Nothing returned aliases b.
+func ParseWorkload(b []byte) (*taskgraph.Graph, *arch.Platform, gen.Release, error) {
+	var wl WorkloadJSON
+	if !parseCanonical(b, &wl) {
+		wl = WorkloadJSON{}
+		if err := json.NewDecoder(bytes.NewReader(b)).Decode(&wl); err != nil {
+			return nil, nil, gen.Release{}, fmt.Errorf("graphio: %w", err)
+		}
+	}
+	return decodeWorkload(wl)
+}
+
+// decodeWorkload rebuilds and validates a decoded workload.
+func decodeWorkload(wl WorkloadJSON) (*taskgraph.Graph, *arch.Platform, gen.Release, error) {
 	g, err := DecodeGraph(wl.Graph)
 	if err != nil {
 		return nil, nil, gen.Release{}, err

@@ -64,6 +64,7 @@ type searcher struct {
 	// Mutable state, undone on backtrack.
 	placed    []sched.Placement
 	procFree  []rtime.Time
+	onProc    []int // tasks placed on each processor
 	resFree   []rtime.Time
 	predsLeft []int
 	doneCount int
@@ -73,6 +74,9 @@ type searcher struct {
 	nodes    int
 	budget   int
 	finished bool
+
+	// pinTarget marks the processors some task is pinned to.
+	pinTarget []bool
 }
 
 // Schedule runs the exact search.
@@ -102,6 +106,8 @@ func Schedule(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, opt
 		n: n, m: p.M(),
 		placed:    make([]sched.Placement, n),
 		procFree:  make([]rtime.Time, p.M()),
+		onProc:    make([]int, p.M()),
+		pinTarget: make([]bool, p.M()),
 		resFree:   makeResTable(g),
 		predsLeft: make([]int, n),
 		bestLate:  rtime.Infinity,
@@ -113,6 +119,9 @@ func Schedule(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, opt
 	for i := range s.placed {
 		s.placed[i] = sched.Placement{Proc: -1}
 		s.predsLeft[i] = len(g.Preds(i))
+		if q := g.Task(i).Pinned; q >= 0 && q < p.M() {
+			s.pinTarget[q] = true
+		}
 	}
 	s.dfs(-rtime.Infinity)
 
@@ -235,7 +244,6 @@ func (s *searcher) dfs(curLate rtime.Time) {
 	tStar := rtime.Infinity
 	type symKey struct {
 		task, class int
-		free        rtime.Time
 	}
 	seen := map[symKey]bool{}
 	for i := 0; i < s.n; i++ {
@@ -243,13 +251,16 @@ func (s *searcher) dfs(curLate rtime.Time) {
 			continue
 		}
 		for q := 0; q < s.m; q++ {
-			// Symmetry breaking: two processors of the same class with
-			// identical availability are interchangeable — branch only
-			// on the lowest-indexed one. Dedicated network links break
-			// the symmetry, so the optimization only applies to pure
-			// shared-bus platforms.
-			if s.p.Net == nil {
-				key := symKey{i, s.p.ClassOf(q), s.procFree[q]}
+			// Symmetry breaking: processors of the same class that have
+			// run nothing yet and that no task is pinned to are
+			// interchangeable — branch only on the lowest-indexed one.
+			// A processor that has run a task is not interchangeable
+			// with any other, even at equal availability: a message
+			// between two tasks on one processor costs nothing.
+			// Dedicated network links break the symmetry too, so the
+			// optimization only applies to pure shared-bus platforms.
+			if s.p.Net == nil && s.onProc[q] == 0 && !s.pinTarget[q] {
+				key := symKey{i, s.p.ClassOf(q)}
 				if seen[key] {
 					continue
 				}
@@ -288,6 +299,7 @@ func (s *searcher) dfs(curLate rtime.Time) {
 		}
 		s.placed[mv.task] = sched.Placement{Proc: mv.proc, Start: mv.start, Finish: mv.finish}
 		s.procFree[mv.proc] = mv.finish
+		s.onProc[mv.proc]++
 		for _, u := range s.g.Succs(mv.task) {
 			s.predsLeft[u]--
 		}
@@ -301,6 +313,7 @@ func (s *searcher) dfs(curLate rtime.Time) {
 			s.predsLeft[u]++
 		}
 		s.procFree[mv.proc] = prevProcFree
+		s.onProc[mv.proc]--
 		for k, r := range task.Resources {
 			s.resFree[r] = prevRes[k]
 		}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"repro/internal/arch"
@@ -105,7 +103,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	raw, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "reading batch: %v", err)
 		return
@@ -142,7 +140,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()})
 			continue
 		}
-		g, p, err := graphio.ReadWorkload(bytes.NewReader(it.Workload))
+		g, p, _, err := graphio.ParseWorkload(it.Workload)
 		if err != nil {
 			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()})
 			continue

@@ -142,7 +142,14 @@ func TestBatchSharesAdmissionBudget(t *testing.T) {
 
 	// A closed hold releases every later build immediately; leaving it
 	// in place (not nil) avoids racing the still-running first request.
+	// The batch is re-sent once that request has freed its slot.
 	close(srv.holdBuild)
+	for len(srv.slots) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("slot never freed")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	resp, br, raw = postBatch(t, ts.URL, "", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, raw)

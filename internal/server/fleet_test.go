@@ -380,6 +380,15 @@ func TestFleetDrainDuringHedge(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("hedged request failed: %v", err)
 	}
+	// The hedge won, so the client canceled the owner's copy: wait for
+	// the owner to see that and give up its slot before releasing the
+	// hold, or the copy could slip through and build.
+	for len(nodes[0].srv.slots) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the owner's parked request never saw its cancellation")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(nodes[0].srv.holdBuild)
 
 	// The owner's parked request dies with its canceled context; only

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/client"
@@ -37,10 +38,16 @@ func (rt *Router) target(key uint64) *cluster.Peer {
 	return rt.Ring.Preference(key)[0]
 }
 
-// relay copies a proxied plan answer back to the requester.
+// relay copies a proxied plan answer back to the requester, with the
+// owner's quality header when it sent one.
 func relay(w http.ResponseWriter, res *client.PlanResult) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Plan-Peer", res.Peer)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(res.Body)))
+	h.Set("X-Plan-Peer", res.Peer)
+	if res.Quality != "" {
+		h.Set(qualityHeader, res.Quality)
+	}
 	w.WriteHeader(res.Status)
 	_, _ = w.Write(res.Body)
 }

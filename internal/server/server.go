@@ -40,12 +40,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -253,7 +251,8 @@ type Server struct {
 	rnd *rand.Rand
 
 	// holdBuild, when non-nil, blocks every admitted request before it
-	// plans; tests use it to hold slots occupied deterministically.
+	// plans, until it is closed or the request's context is done; tests
+	// use it to hold slots occupied deterministically.
 	holdBuild chan struct{}
 }
 
@@ -528,12 +527,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	// The body is buffered rather than streamed so a routed request can
 	// forward the identical bytes to the owning peer.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	raw, err := s.readBody(w, r)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "reading workload: %v", err)
 		return
 	}
-	g, p, err := graphio.ReadWorkload(bytes.NewReader(raw))
+	g, p, _, err := graphio.ParseWorkload(raw)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -809,7 +808,11 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 	}
 	defer release()
 	if s.holdBuild != nil {
-		<-s.holdBuild
+		// A held request still dies with its context.
+		select {
+		case <-s.holdBuild:
+		case <-ctx.Done():
+		}
 	}
 
 	bctx, cancel := context.WithTimeout(ctx, cfg.limit)
@@ -961,7 +964,7 @@ func (s *Server) writeOutcome(w http.ResponseWriter, o planOutcome) {
 	}
 	if o.code == http.StatusOK {
 		w.Header().Set(qualityHeader, o.quality.String())
-		writeJSON(w, http.StatusOK, o.resp)
+		writePlan(w, o.resp)
 		return
 	}
 	writeJSON(w, o.code, errorResponse{Error: o.errMsg})

@@ -113,6 +113,10 @@ type Graph struct {
 
 	frozen bool
 
+	// spare holds preallocated Task storage that AddTask hands out
+	// before allocating (see NewGraphSized).
+	spare []Task
+
 	// Derived, filled by Freeze.
 	topo    []int        // topological order of task IDs
 	level   []int        // length (in arcs) of the longest incoming path
@@ -127,12 +131,25 @@ type Graph struct {
 // NewGraph returns an empty graph whose tasks execute on numClasses
 // processor classes.
 func NewGraph(numClasses int) *Graph {
+	return NewGraphSized(numClasses, 0, 0)
+}
+
+// NewGraphSized is NewGraph with storage reserved for the given numbers
+// of tasks and arcs, so a caller that knows them up front (a decoder)
+// builds the graph without growing it. Adding more than reserved is
+// allowed.
+func NewGraphSized(numClasses, tasks, arcs int) *Graph {
 	if numClasses <= 0 {
 		panic("taskgraph: NewGraph needs at least one processor class")
 	}
 	return &Graph{
 		NumClasses: numClasses,
-		arcIdx:     make(map[[2]int]int),
+		tasks:      make([]*Task, 0, tasks),
+		spare:      make([]Task, tasks),
+		succs:      make([][]int, 0, tasks),
+		preds:      make([][]int, 0, tasks),
+		arcs:       make([]Arc, 0, arcs),
+		arcIdx:     make(map[[2]int]int, arcs),
 	}
 }
 
@@ -163,7 +180,13 @@ func (g *Graph) AddTask(name string, wcet []rtime.Time, phase rtime.Time) (*Task
 	if phase < 0 {
 		return nil, fmt.Errorf("taskgraph: task %q has negative phase %d", name, phase)
 	}
-	t := &Task{
+	var t *Task
+	if len(g.spare) > 0 {
+		t, g.spare = &g.spare[0], g.spare[1:]
+	} else {
+		t = new(Task)
+	}
+	*t = Task{
 		ID:          len(g.tasks),
 		Name:        name,
 		WCET:        append([]rtime.Time(nil), wcet...),
@@ -280,11 +303,15 @@ func (g *Graph) Freeze() error {
 
 	// Transitive closure via bitsets, in reverse topological order for
 	// descendants and forward order for ancestors: O(n·|A|/64) words.
+	// All 2n sets are carved out of one slab; the three-index slices cap
+	// each at its own words, so no set can grow into its neighbour.
 	g.desc = make([]bitset.Set, n)
 	g.anc = make([]bitset.Set, n)
+	w := (n + 63) / 64 // words per set, as bitset.New sizes it
+	slab := make([]uint64, 2*n*w)
 	for i := 0; i < n; i++ {
-		g.desc[i] = bitset.New(n)
-		g.anc[i] = bitset.New(n)
+		g.desc[i] = slab[2*i*w : (2*i+1)*w : (2*i+1)*w]
+		g.anc[i] = slab[(2*i+1)*w : (2*i+2)*w : (2*i+2)*w]
 	}
 	for i := n - 1; i >= 0; i-- {
 		v := topo[i]

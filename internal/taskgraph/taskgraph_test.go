@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +26,39 @@ func diamond(t *testing.T) *Graph {
 	g.MustAddArc(cc.ID, d.ID, 1)
 	g.MustFreeze()
 	return g
+}
+
+// TestNewGraphSizedMatchesNewGraph: reserving storage, too little or
+// plenty, changes nothing a caller can observe.
+func TestNewGraphSizedMatchesNewGraph(t *testing.T) {
+	want := diamond(t)
+	for _, size := range [][2]int{{2, 1}, {4, 4}, {10, 10}} {
+		g := NewGraphSized(1, size[0], size[1])
+		for _, tk := range want.Tasks() {
+			g.MustAddTask(tk.Name, tk.WCET, tk.Phase)
+		}
+		for _, a := range want.Arcs() {
+			g.MustAddArc(a.From, a.To, a.Items)
+		}
+		g.MustFreeze()
+		if !reflect.DeepEqual(g.TopoOrder(), want.TopoOrder()) || !reflect.DeepEqual(g.Arcs(), want.Arcs()) {
+			t.Fatalf("reserve %v: structure differs", size)
+		}
+		for i := 0; i < g.NumTasks(); i++ {
+			if !reflect.DeepEqual(g.Task(i), want.Task(i)) {
+				t.Fatalf("reserve %v: task %d = %+v, want %+v", size, i, g.Task(i), want.Task(i))
+			}
+			if !reflect.DeepEqual(g.Succs(i), want.Succs(i)) || !reflect.DeepEqual(g.Preds(i), want.Preds(i)) ||
+				g.ParallelSetSize(i) != want.ParallelSetSize(i) {
+				t.Fatalf("reserve %v: task %d adjacency differs", size, i)
+			}
+			for j := 0; j < g.NumTasks(); j++ {
+				if g.Reaches(i, j) != want.Reaches(i, j) {
+					t.Fatalf("reserve %v: Reaches(%d, %d) differs", size, i, j)
+				}
+			}
+		}
+	}
 }
 
 func TestAddTaskValidation(t *testing.T) {
