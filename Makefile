@@ -82,9 +82,10 @@ bench:
 	$(GO) run ./cmd/benchpipe -o BENCH_pipeline.json
 
 # Performance gate: re-runs the suite and fails if cold builds,
-# incremental rebuilds, workload decoding or the cache-hit handler
-# regressed more than 20% (time or allocations) against the checked-in
-# BENCH_pipeline.json.
+# incremental rebuilds, workload decoding, the cache-hit handler, the
+# fault-injected executor or one margins-study graph regressed more
+# than 20% (time or allocations; bytes too for the two study benches)
+# against the checked-in BENCH_pipeline.json.
 bench-check:
 	sh scripts/bench-check.sh
 

@@ -24,6 +24,12 @@
 //   - breakdown/cache=off     breakdown-factor bisection, re-planning on
 //     every probe
 //   - breakdown/cache=on      the same bisection planning once
+//   - study/inject            one fault-injected execution of an
+//     ADAPT-L plan of a 40–60-task margins-study graph under
+//     faults.Scaled(1) with slack reclamation
+//   - study/graph             one graph through every margins-study cell
+//     (breakdown, estimation-error grid, re-slice) over a fresh
+//     4,096-plan cache
 //   - serve/decode            graphio.ReadWorkload on the 120-task
 //     request body pland is sent (WriteWorkload's output)
 //   - serve/handler-hit       one cache-hit POST /plan of that body
@@ -38,8 +44,8 @@
 // deadlines costs a fixed-point iteration, not a timeline.
 //
 // With -check BASELINE the suite instead runs fresh and exits nonzero
-// if the cold-build or serve numbers regressed more than 20% against
-// the checked-in baseline (the CI performance gate).
+// if the cold-build, serve or study numbers regressed more than 20%
+// against the checked-in baseline (the CI performance gate).
 package main
 
 import (
@@ -323,6 +329,9 @@ func run(out, check string) error {
 	if on.NsPerOp > 0 {
 		rep.BreakdownSpeedup = off.NsPerOp / on.NsPerOp
 	}
+	if err := studyBenches(bench); err != nil {
+		return err
+	}
 
 	// The serving layers around a plan, on the same 120-task workload:
 	// the request body as clients send it, decoded alone and then
@@ -383,14 +392,26 @@ func run(out, check string) error {
 
 // checkTolerance is the allowed regression against the checked-in
 // baseline before -check fails: 20% on time, 20% (and at least 8
-// absolute, to absorb counting noise near zero) on allocations.
+// absolute, to absorb counting noise near zero) on allocations, and
+// 20% on bytes where those are gated.
 const checkTolerance = 0.20
 
-// checkAgainst gates the fresh run rep on the baseline at path. Only
-// the cold-build and serve benchmarks are gated — the
-// cached/fingerprint paths are sub-10µs and too noisy for a CI
-// tripwire, and the breakdown bisections are derived from the same
-// cold path.
+// gated lists the benchmarks -check compares, and whether their bytes
+// per op are gated too. The cached/fingerprint paths are sub-10µs and
+// too noisy for a CI tripwire, and the breakdown bisections are derived
+// from the same cold path. The study benches gate bytes because the
+// margins study's allocation rate sets its peak memory.
+var gated = []struct {
+	name  string
+	bytes bool
+}{
+	{"build/cold", false}, {"build/cold-pooled", false},
+	{"build/rebuild-estimates", false}, {"build/rebuild-wcet", false},
+	{"serve/decode", false}, {"serve/handler-hit", false},
+	{"study/inject", true}, {"study/graph", true},
+}
+
+// checkAgainst gates the fresh run rep on the baseline at path.
 func checkAgainst(path string, rep report) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -404,10 +425,9 @@ func checkAgainst(path string, rep report) error {
 	for _, r := range base.Results {
 		baseBy[r.Name] = r
 	}
-	gated := []string{"build/cold", "build/cold-pooled", "build/rebuild-estimates", "build/rebuild-wcet",
-		"serve/decode", "serve/handler-hit"}
 	failed := false
-	for _, name := range gated {
+	for _, gate := range gated {
+		name := gate.name
 		b, ok := baseBy[name]
 		if !ok {
 			fmt.Printf("check %-24s skipped (not in baseline)\n", name)
@@ -434,15 +454,20 @@ func checkAgainst(path string, rep report) error {
 				name, cur.AllocsPerOp, b.AllocsPerOp, excess)
 			ok = false
 		}
+		if gate.bytes && float64(cur.BytesPerOp) > float64(b.BytesPerOp)*(1+checkTolerance) {
+			fmt.Printf("check %-24s FAIL bytes: %d/op vs baseline %d (+%.0f%%)\n",
+				name, cur.BytesPerOp, b.BytesPerOp, 100*(float64(cur.BytesPerOp)/float64(b.BytesPerOp)-1))
+			ok = false
+		}
 		if ok {
-			fmt.Printf("check %-24s ok: %.0f ns/op (baseline %.0f), %d allocs/op (baseline %d)\n",
-				name, cur.NsPerOp, b.NsPerOp, cur.AllocsPerOp, b.AllocsPerOp)
+			fmt.Printf("check %-24s ok: %.0f ns/op (baseline %.0f), %d allocs/op (baseline %d), %d B/op (baseline %d)\n",
+				name, cur.NsPerOp, b.NsPerOp, cur.AllocsPerOp, b.AllocsPerOp, cur.BytesPerOp, b.BytesPerOp)
 		} else {
 			failed = true
 		}
 	}
 	if failed {
-		return fmt.Errorf("cold-build or serve performance regressed beyond %.0f%% of %s", 100*checkTolerance, path)
+		return fmt.Errorf("cold-build, serve or study performance regressed beyond %.0f%% of %s", 100*checkTolerance, path)
 	}
 	return nil
 }

@@ -223,13 +223,26 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	fmt.Fprintf(logw, "pland: listening on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// snapDone closes once the periodic saver has made its final save.
+	// That save must land before the post-drain save starts, or its older
+	// snapshot could be renamed over the newer one, and run never returns
+	// while it may still write.
+	snapDone := make(chan struct{})
+	defer func() {
+		stop()
+		<-snapDone
+	}()
 
 	if prober != nil {
 		go prober.Run(ctx)
 	}
 	if *snapPath != "" && *snapEvery > 0 {
-		go srv.RunSnapshots(ctx, *snapPath, *snapEvery)
+		go func() {
+			defer close(snapDone)
+			srv.RunSnapshots(ctx, *snapPath, *snapEvery)
+		}()
+	} else {
+		close(snapDone)
 	}
 	if *warmFill {
 		fmt.Fprintf(logw, "pland: warm fill every %v\n", *warmEvery)
@@ -257,7 +270,8 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		return err
 	}
 	// The post-drain save persists plans finished during the drain
-	// window itself (RunSnapshots' final save raced the shutdown).
+	// window itself, after RunSnapshots' final save.
+	<-snapDone
 	if *snapPath != "" {
 		if n, err := srv.SaveSnapshot(*snapPath); err != nil {
 			fmt.Fprintf(logw, "pland: final snapshot failed: %v\n", err)

@@ -263,6 +263,7 @@ func TestSnapshotRestartLifecycle(t *testing.T) {
 	if !strings.Contains(logs1.String(), "saved 1 plans to "+snap) {
 		t.Fatalf("drain did not save the snapshot: %q", logs1.String())
 	}
+	onlySnapshot(t, snap)
 
 	var logs2 logBuffer
 	addr, cancel, done = boot(&logs2)
@@ -297,6 +298,25 @@ func TestSnapshotRestartLifecycle(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("second run never drained")
+	}
+	onlySnapshot(t, snap)
+}
+
+// onlySnapshot fails unless snap's directory holds the snapshot file
+// and nothing else: once run has returned, no save may still be writing
+// its temp file.
+func onlySnapshot(t *testing.T, snap string) {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Dir(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != filepath.Base(snap) {
+		t.Fatalf("snapshot directory holds %q after run returned, want only %q", names, filepath.Base(snap))
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/rtime"
@@ -190,7 +191,10 @@ func Generate(cfg Config) (*Workload, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := sources.Get().(rand.Source)
+	defer sources.Put(src)
+	src.Seed(cfg.Seed)
+	rng := rand.New(src)
 
 	platform := genPlatform(cfg, rng)
 	g, err := genShaped(cfg, rng, platform)
@@ -286,6 +290,11 @@ func Generate(cfg Config) (*Workload, error) {
 	return &Workload{Graph: g, Platform: platform, AvgWork: avgWork, Releases: releases}, nil
 }
 
+// sources recycles Generate's random sources, which nothing it returns
+// retains: seeding a reused source is exactly rand.NewSource, without
+// allocating its 4.9 KB state.
+var sources = sync.Pool{New: func() any { return rand.NewSource(0) }}
+
 // optionalSeedMix decorrelates the criticality-labelling stream from the
 // structural stream of the same workload seed.
 const optionalSeedMix = 0x5DEECE66D
@@ -354,8 +363,13 @@ func genGraph(cfg Config, rng *rand.Rand, platform *arch.Platform) (*taskgraph.G
 
 	ne := platform.NumClasses()
 	present := platform.ClassesPresent()
-	g := taskgraph.NewGraph(ne)
+	// Generated graphs carry at most about two arcs per task.
+	g := taskgraph.NewGraphSized(ne, n, 2*n)
 	levels := make([][]int, depth)
+	ids := make([]int, n) // the level sizes sum to n
+	for l := range levels {
+		levels[l], ids = ids[:0:levelSize[l]], ids[levelSize[l]:]
+	}
 	for l := 0; l < depth; l++ {
 		for j := 0; j < levelSize[l]; j++ {
 			wcet := genWCET(cfg, rng, ne, present, platform)
@@ -378,10 +392,11 @@ func genGraph(cfg Config, rng *rand.Rand, platform *arch.Platform) (*taskgraph.G
 	// and hence the graph depth. The level smoothing above guarantees a
 	// predecessor with spare out-degree always exists.
 	outdeg := make([]int, n)
+	var free []int // pickPred's candidate buffer
 	msg := func() rtime.Time { return msgItems(cfg, rng) }
 	for l := 1; l < depth; l++ {
 		for _, t := range levels[l] {
-			p := pickPred(rng, levels[l-1], outdeg, cfg.MaxFan)
+			p := pickPred(rng, levels[l-1], outdeg, cfg.MaxFan, &free)
 			g.MustAddArc(p, t, msg())
 			outdeg[p]++
 		}
@@ -394,7 +409,7 @@ func genGraph(cfg Config, rng *rand.Rand, platform *arch.Platform) (*taskgraph.G
 			want := 1 + rng.Intn(cfg.MaxFan)
 			for len(g.Preds(t)) < want {
 				el := rng.Intn(l)
-				p := pickPred(rng, levels[el], outdeg, cfg.MaxFan)
+				p := pickPred(rng, levels[el], outdeg, cfg.MaxFan, &free)
 				if outdeg[p] >= cfg.MaxFan {
 					break // earlier levels saturated; accept fewer preds
 				}
@@ -439,18 +454,18 @@ func genGraph(cfg Config, rng *rand.Rand, platform *arch.Platform) (*taskgraph.G
 }
 
 // pickPred chooses a random element of candidates, preferring those with
-// remaining out-degree capacity when outdeg is provided.
-func pickPred(rng *rand.Rand, candidates []int, outdeg []int, maxFan int) int {
-	if outdeg != nil {
-		var free []int
-		for _, c := range candidates {
-			if outdeg[c] < maxFan {
-				free = append(free, c)
-			}
+// remaining out-degree capacity. *free is reused across calls to hold
+// the preferred candidates.
+func pickPred(rng *rand.Rand, candidates []int, outdeg []int, maxFan int, free *[]int) int {
+	f := (*free)[:0]
+	for _, c := range candidates {
+		if outdeg[c] < maxFan {
+			f = append(f, c)
 		}
-		if len(free) > 0 {
-			return free[rng.Intn(len(free))]
-		}
+	}
+	*free = f
+	if len(f) > 0 {
+		return f[rng.Intn(len(f))]
 	}
 	return candidates[rng.Intn(len(candidates))]
 }

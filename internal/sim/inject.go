@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/faults"
@@ -110,6 +111,13 @@ type InjectedReport struct {
 // anchors the degradation comparison. Under a zero trace the injected
 // execution reproduces sched.Dispatch exactly, making injection a
 // strict superset of nominal replay.
+//
+// Readiness is tracked incrementally, as in sched.DispatchScratch: a
+// ready list holds the tasks whose predecessors are all placed, and
+// each predecessor's (jittered) message landing on every processor is
+// folded into a landing table once, when it is placed. Only the ready
+// list is scanned per decision. The report is identical to the one a
+// full rescan of every task and predecessor per decision produces.
 func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 	s *sched.Schedule, opts Options) (*InjectedReport, error) {
 
@@ -147,18 +155,18 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 	deg.FirstMiss = rtime.Unset
 
 	m := p.M()
-	procFree := make([]rtime.Time, m)
-	resFree := sched.ResourceTable(g)
-	done := make([]bool, n)
+	ws := injectPool.Get().(*injectScratch)
+	defer injectPool.Put(ws)
+	ws.ensure(g, asg, n, m)
+	procFree, resFree := ws.procFree, ws.resFree
+	done, wasAborted := ws.done, ws.wasAborted
+	predsLeft, landing := ws.predsLeft, ws.landing
 	placed := 0
 
 	// Dynamic state the faults and the recovery policy evolve: EDF
 	// deadlines, effective arrivals, and the earliest re-dispatch time
 	// of aborted tasks.
-	dl := append([]rtime.Time(nil), asg.AbsDeadline...)
-	arr := append([]rtime.Time(nil), asg.Arrival...)
-	blockedUntil := make([]rtime.Time, n)
-	wasAborted := make([]bool, n)
+	dl, arr, blockedUntil := ws.dl, ws.arr, ws.blockedUntil
 
 	// Pending reclamations: an overrun is only observable when the task
 	// finishes, so its recovery applies at that instant, not at the
@@ -191,37 +199,41 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 			ex.Missed = append(ex.Missed, i)
 			done[i] = true
 			placed++
+			// A screened task never runs and never sends: its
+			// successors wait on it no further (they are doomed anyway).
+			for _, u := range g.Succs(i) {
+				predsLeft[u]--
+			}
 		}
 	}
 
 	dead := func(q int, at rtime.Time) bool { return trace.DownAt[q] <= at }
 
-	// readyOn is sched.Dispatch's readiness rule over the effective
-	// arrivals, plus message jitter and the abort gate.
-	readyOn := func(i, q int) rtime.Time {
+	// gate is the processor-independent part of task i's readiness: its
+	// effective arrival, its abort gate and the release of the latest
+	// exclusive resource it needs. Reclamation lowers arr and an abort
+	// raises blockedUntil after the task became ready, so neither is
+	// folded into landing; a ready task is dispatchable on q once
+	// max(gate(i), landing[i·m+q]) has been reached.
+	gate := func(i int) rtime.Time {
 		t := rtime.Max(arr[i], blockedUntil[i])
-		for _, pr := range g.Preds(i) {
-			pl := ex.Placements[pr]
-			if pl.Proc < 0 {
-				if done[pr] {
-					continue // unplaceable predecessor: task is doomed anyway
-				}
-				return rtime.Unset
-			}
-			arrive := pl.Finish + p.CommCost(pl.Proc, q, g.MessageItems(pr, i))
-			if pl.Proc != q {
-				arrive += trace.ExtraMsg(pr, i)
-			}
-			if arrive > t {
-				t = arrive
-			}
-		}
 		for _, res := range g.Task(i).Resources {
 			if resFree[res] > t {
 				t = resFree[res]
 			}
 		}
 		return t
+	}
+
+	// The ready list holds exactly the tasks not done whose predecessors
+	// are all placed; aborted tasks stay in it. The selection rule
+	// (deadline, then task id) is a strict total order, so scanning it
+	// instead of all n tasks cannot change the winner.
+	ready := ws.ready[:0]
+	for i := 0; i < n; i++ {
+		if !done[i] && predsLeft[i] == 0 {
+			ready = append(ready, i)
+		}
 	}
 
 	applyReclaims := func(now rtime.Time) {
@@ -270,31 +282,28 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 		// EDF-closest (under the possibly reclaimed deadlines) task
 		// that is dispatchable on an idle, surviving processor.
 		for {
-			bestTask, bestProc := -1, -1
-			for i := 0; i < n; i++ {
-				if done[i] {
-					continue
-				}
-				task := g.Task(i)
+			bestTask, bestProc, bestIdx := -1, -1, -1
+			for ri, i := range ready {
 				if bestTask >= 0 {
 					if dl[i] > dl[bestTask] || (dl[i] == dl[bestTask] && i > bestTask) {
 						continue
 					}
 				}
+				if gate(i) > now {
+					continue
+				}
+				task := g.Task(i)
+				base := i * m
 				tProc, tFinish := -1, rtime.Time(0)
 				for q := 0; q < m; q++ {
 					if task.Pinned >= 0 && q != task.Pinned {
 						continue
 					}
-					if dead(q, now) || procFree[q] > now {
+					if dead(q, now) || procFree[q] > now || landing[base+q] > now {
 						continue
 					}
 					class := p.ClassOf(q)
 					if !task.EligibleOn(class) {
-						continue
-					}
-					r := readyOn(i, q)
-					if !r.IsSet() || r > now {
 						continue
 					}
 					// Processor choice uses worst-case knowledge: the
@@ -305,7 +314,7 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 					}
 				}
 				if tProc >= 0 {
-					bestTask, bestProc = i, tProc
+					bestTask, bestProc, bestIdx = i, tProc, ri
 				}
 			}
 			if bestTask < 0 {
@@ -342,7 +351,31 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 			}
 			done[bestTask] = true
 			placed++
+			ready[bestIdx] = ready[len(ready)-1]
+			ready = ready[:len(ready)-1]
+			if ex.Order == nil { // a run that places nothing keeps a nil Order
+				ex.Order = make([]int, 0, n)
+			}
 			ex.Order = append(ex.Order, bestTask)
+			// Fold the new messages into the successors' landing
+			// times: one arc lookup and one jitter lookup per arc.
+			for _, u := range g.Succs(bestTask) {
+				predsLeft[u]--
+				if predsLeft[u] == 0 && !done[u] {
+					ready = append(ready, u)
+				}
+				items, jitter := g.MessageItems(bestTask, u), trace.ExtraMsg(bestTask, u)
+				ub := u * m
+				for q := 0; q < m; q++ {
+					arrive := finish + p.CommCost(bestProc, q, items)
+					if q != bestProc {
+						arrive += jitter
+					}
+					if arrive > landing[ub+q] {
+						landing[ub+q] = arrive
+					}
+				}
+			}
 			if finish > ex.Makespan {
 				ex.Makespan = finish
 			}
@@ -367,8 +400,8 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 		}
 
 		// Advance to the next instant anything can change: a surviving
-		// processor frees, a task becomes ready, or a queued recovery
-		// event relaxes an arrival gate.
+		// processor frees, a ready task's gate opens or a message lands,
+		// or a queued recovery event relaxes an arrival gate.
 		next := rtime.Infinity
 		for q := 0; q < m; q++ {
 			if dead(q, now) {
@@ -378,22 +411,22 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 				next = procFree[q]
 			}
 		}
-		for i := 0; i < n; i++ {
-			if done[i] {
-				continue
-			}
+		for _, i := range ready {
+			task := g.Task(i)
+			floor := gate(i)
+			base := i * m
 			for q := 0; q < m; q++ {
-				if g.Task(i).Pinned >= 0 && q != g.Task(i).Pinned {
+				if task.Pinned >= 0 && q != task.Pinned {
 					continue
 				}
-				if !g.Task(i).EligibleOn(p.ClassOf(q)) {
+				if !task.EligibleOn(p.ClassOf(q)) {
 					continue
 				}
 				if dead(q, now) {
 					continue // q is already dead; it never hosts i again
 				}
-				r := readyOn(i, q)
-				if r.IsSet() && r > now && r < next {
+				r := rtime.Max(floor, landing[base+q])
+				if r > now && r < next {
 					next = r
 				}
 			}
@@ -423,13 +456,9 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 	sort.Ints(ex.Missed)
 
 	// Degradation accounting against the original assignment.
-	outputs := map[int]bool{}
-	for _, o := range g.Outputs() {
-		outputs[o] = true
-	}
 	deg.Misses = len(ex.Missed)
 	for _, i := range ex.Missed {
-		if outputs[i] {
+		if len(g.Succs(i)) == 0 { // an output task
 			deg.ETEMisses++
 		}
 		if g.Task(i).Criticality == taskgraph.Mandatory {
@@ -471,4 +500,58 @@ func Inject(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 		return nil, err
 	}
 	return &InjectedReport{Report: *rep, Executed: ex, Degradation: deg}, nil
+}
+
+// injectScratch is Inject's pooled working memory: the EDF deadlines,
+// effective arrivals and abort gates the run evolves, the
+// predecessor counters, the n×m landing table and the ready list.
+// Nothing reachable from an InjectedReport aliases it.
+type injectScratch struct {
+	procFree, resFree     []rtime.Time
+	dl, arr, blockedUntil []rtime.Time
+	landing               []rtime.Time
+	done, wasAborted      []bool
+	predsLeft             []int32
+	ready                 []int
+}
+
+var injectPool = sync.Pool{New: func() any { return new(injectScratch) }}
+
+// ensure sizes the scratch for an n-task, m-processor run of g under
+// asg and resets it: deadlines and arrivals copied from asg, every
+// counter at its task's in-degree, everything else zero. A landing
+// time of 0 is exact because the abort gate starts at 0.
+func (ws *injectScratch) ensure(g *taskgraph.Graph, asg *slicing.Assignment, n, m int) {
+	maxRes := -1
+	for _, t := range g.Tasks() {
+		for _, r := range t.Resources {
+			maxRes = max(maxRes, r)
+		}
+	}
+	ws.procFree = resize(ws.procFree, m)
+	ws.resFree = resize(ws.resFree, maxRes+1)
+	ws.dl = append(ws.dl[:0], asg.AbsDeadline...)
+	ws.arr = append(ws.arr[:0], asg.Arrival...)
+	ws.blockedUntil = resize(ws.blockedUntil, n)
+	ws.landing = resize(ws.landing, n*m)
+	ws.done = resize(ws.done, n)
+	ws.wasAborted = resize(ws.wasAborted, n)
+	ws.predsLeft = resize(ws.predsLeft, n)
+	for i := range ws.predsLeft {
+		ws.predsLeft[i] = int32(len(g.Preds(i)))
+	}
+	if cap(ws.ready) < n {
+		ws.ready = make([]int, 0, n)
+	}
+}
+
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -404,4 +406,568 @@ func TestInjectedRunsReplayCleanly(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// injectTally counts the fault activity a corpus of reference runs
+// exercised, so the equivalence test can show it covered every path.
+type injectTally struct {
+	runs, faulted, aborted, migrations, reclamations, unplaced int
+}
+
+// injectAgrees runs Inject and the reference executor on one input and
+// fails unless their errors and whole reports are equal.
+func injectAgrees(t *testing.T, label string, g *taskgraph.Graph, p *arch.Platform,
+	asg *slicing.Assignment, s *sched.Schedule, opts Options, tally *injectTally) {
+	t.Helper()
+	want, werr := injectReference(g, p, asg, s, opts)
+	got, gerr := Inject(g, p, asg, s, opts)
+	if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+		t.Errorf("%s: error %v, reference %v", label, gerr, werr)
+		return
+	}
+	if werr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: reports diverge\nreference   %+v\n  executed  %+v\nincremental %+v\n  executed  %+v",
+			label, *want, *want.Executed, *got, *got.Executed)
+		return
+	}
+	d := want.Degradation
+	tally.runs++
+	if d.Overruns+d.Aborted+d.Reclamations+d.Unplaced > 0 {
+		tally.faulted++
+	}
+	tally.aborted += d.Aborted
+	tally.migrations += d.Migrations
+	tally.reclamations += d.Reclamations
+	tally.unplaced += d.Unplaced
+}
+
+// outputSpan is the latest end-to-end deadline of g, the horizon fault
+// traces are materialized over.
+func outputSpan(g *taskgraph.Graph) rtime.Time {
+	var span rtime.Time
+	for _, o := range g.Outputs() {
+		if d := g.Task(o).ETEDeadline; d > span {
+			span = d
+		}
+	}
+	return span
+}
+
+// planned is one generated workload's nominal plan under a metric: the
+// input every Inject of the equivalence corpus starts from.
+func planned(t *testing.T, cfg gen.Config, metric slicing.Metric) (*gen.Workload, *slicing.Assignment, *sched.Schedule) {
+	t.Helper()
+	w, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := wcet.Estimates(w.Graph, w.Platform, wcet.AVG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg, err := slicing.Distribute(w.Graph, est, cfg.M, metric, slicing.CalibratedParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Dispatch(w.Graph, w.Platform, asg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, asg, s
+}
+
+// Property: the incremental executor is the rescanning one, report for
+// report — placements, order, misses, degradation accounting and the
+// replay verdict — over generated workloads of the study's shape and
+// larger, PURE- and NORM-shaped assignments, exclusive resources and
+// pinned tasks, sporadic release expansions, every fault intensity,
+// with and without slack reclamation, and a task no processor can host.
+func TestInjectMatchesReference(t *testing.T) {
+	intensities := []float64{0, 0.25, 0.5, 1}
+	metrics := []slicing.Metric{slicing.AdaptL(), slicing.NORM()}
+	var tally injectTally
+	// each runs every intensity × Reclaim off and on over one plan.
+	each := func(label string, g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
+		s *sched.Schedule, traceOf func(intensity float64) *faults.Trace) {
+		for _, intensity := range intensities {
+			tr := traceOf(intensity)
+			for _, reclaim := range []bool{false, true} {
+				injectAgrees(t, fmt.Sprintf("%s intensity %.2f reclaim %v", label, intensity, reclaim),
+					g, p, asg, s, Options{Faults: tr, Reclaim: reclaim}, &tally)
+			}
+		}
+	}
+	materialize := func(g *taskgraph.Graph, p *arch.Platform, seed int64) func(float64) *faults.Trace {
+		return func(intensity float64) *faults.Trace {
+			tr, err := faults.Scaled(intensity, seed).Materialize(g, p, outputSpan(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+	}
+
+	type family struct {
+		name     string
+		seeds    int
+		min, max int
+		olr      float64 // 0 keeps the generator's default laxity
+		// res and pin enable exclusive resources and pinned boundary
+		// tasks; sporadic expands three releases of the plan.
+		res, pin, sporadic bool
+	}
+	families := []family{
+		{name: "study", seeds: 12, min: 40, max: 60, olr: 0.55}, // the margins study's laxity
+		{name: "large", seeds: 2, min: 100, max: 140},
+		{name: "resources+pins", seeds: 6, min: 40, max: 60, res: true, pin: true},
+		{name: "sporadic", seeds: 2, min: 40, max: 60, sporadic: true},
+	}
+	for fi, f := range families {
+		for k := 0; k < f.seeds; k++ {
+			seed := int64(1000*(fi+1) + k)
+			m := 2 + k%6
+			cfg := gen.Default(m)
+			cfg.Seed = seed
+			cfg.MinTasks, cfg.MaxTasks = f.min, f.max
+			if f.olr > 0 {
+				cfg.OLR = f.olr
+			}
+			if f.res {
+				cfg.NumResources, cfg.ResourceProb = 3, 0.3
+			}
+			if f.pin {
+				cfg.PinProb = 0.5
+			}
+			for _, metric := range metrics {
+				w, asg, s := planned(t, cfg, metric)
+				label := fmt.Sprintf("%s seed %d m %d %s", f.name, seed, m, metric.Name())
+				if !f.sporadic {
+					each(label, w.Graph, w.Platform, asg, s, materialize(w.Graph, w.Platform, seed))
+					continue
+				}
+				// As the margins study does: expand the plan over a
+				// seeded release sequence and tile the base trace.
+				span := outputSpan(w.Graph)
+				rel := gen.Release{Mode: gen.ReleaseSporadic, Count: 3, MinGap: span, Jitter: span / 4}
+				eg, easg, es, times, err := ExpandSystem(w.Graph, w.Platform, asg, rel, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := materialize(w.Graph, w.Platform, seed)
+				each(label, eg, w.Platform, easg, es, func(intensity float64) *faults.Trace {
+					return base(intensity).Tile(w.Graph.NumTasks(), len(times))
+				})
+			}
+		}
+	}
+
+	// A task eligible only on a class no processor has is screened out
+	// before the run; its successor waits on it no further and runs.
+	g := taskgraph.NewGraph(2)
+	g.MustAddTask("a", []rtime.Time{10, rtime.Unset}, 0)
+	g.MustAddTask("ghost", []rtime.Time{rtime.Unset, 10}, 0)
+	g.MustAddTask("b", []rtime.Time{10, rtime.Unset}, 0)
+	g.MustAddTask("c", []rtime.Time{10, rtime.Unset}, 0)
+	g.MustAddArc(0, 2, 2)
+	g.MustAddArc(1, 2, 2)
+	g.MustAddArc(2, 3, 1)
+	g.Task(3).ETEDeadline = 80
+	g.MustFreeze()
+	p := arch.MustNew(arch.Unrelated,
+		[]arch.Class{{Name: "e0", Speed: 1}, {Name: "e1", Speed: 1}},
+		[]int{0, 0}, arch.Bus{DelayPerItem: 1})
+	asg, err := slicing.Distribute(g, []rtime.Time{10, 10, 10, 10}, 2, slicing.PURE(), slicing.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Dispatch(g, p, asg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each("screened", g, p, asg, s, materialize(g, p, 7))
+	injectAgrees(t, "screened zero trace", g, p, asg, s, Options{}, &tally)
+	ir, err := Inject(g, p, asg, s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ir.Executed.Missed; !reflect.DeepEqual(got, []int{1}) || ir.Executed.Placements[2].Proc < 0 {
+		t.Errorf("screened ghost: missed %v, b placed on %d; want [1] and b placed", got, ir.Executed.Placements[2].Proc)
+	}
+
+	t.Logf("%d runs, %d with fault activity: %d aborts, %d migrations, %d reclamations, %d stranded tasks",
+		tally.runs, tally.faulted, tally.aborted, tally.migrations, tally.reclamations, tally.unplaced)
+	if tally.aborted == 0 || tally.migrations == 0 || tally.reclamations == 0 || tally.unplaced == 0 {
+		t.Errorf("corpus left a fault path unexercised: %+v", tally)
+	}
+}
+
+// injectReference is Inject as it was before readiness became
+// incremental: every dispatch decision rescans all n tasks and
+// re-derives each one's readiness from its predecessors' placements.
+// It is kept, unchanged, as the oracle TestInjectMatchesReference holds
+// the incremental executor to.
+func injectReference(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
+	s *sched.Schedule, opts Options) (*InjectedReport, error) {
+
+	n := g.NumTasks()
+	if len(s.Placements) != n {
+		return nil, fmt.Errorf("sim: schedule covers %d tasks, graph has %d", len(s.Placements), n)
+	}
+	if len(asg.Arrival) != n || len(asg.AbsDeadline) != n {
+		return nil, fmt.Errorf("sim: assignment covers %d tasks, graph has %d", len(asg.Arrival), n)
+	}
+	for i := 0; i < n; i++ {
+		if !asg.Arrival[i].IsSet() || !asg.AbsDeadline[i].IsSet() {
+			return nil, fmt.Errorf("sim: task %d has an unassigned window", i)
+		}
+	}
+	trace := opts.Faults
+	if trace == nil {
+		trace = faults.ZeroTrace(n, p.M())
+	}
+	if len(trace.ExecScale) != n || len(trace.Slow) != p.M() {
+		return nil, fmt.Errorf("sim: fault trace sized for %d tasks / %d processors, workload has %d / %d",
+			len(trace.ExecScale), len(trace.Slow), n, p.M())
+	}
+
+	ex := &sched.Schedule{
+		Placements:  make([]sched.Placement, n),
+		Feasible:    true,
+		MaxLateness: -rtime.Infinity,
+	}
+	for i := range ex.Placements {
+		ex.Placements[i] = sched.Placement{Proc: -1}
+	}
+	var deg Degradation
+	deg.Tasks = n
+	deg.FirstMiss = rtime.Unset
+
+	m := p.M()
+	procFree := make([]rtime.Time, m)
+	resFree := sched.ResourceTable(g)
+	done := make([]bool, n)
+	placed := 0
+
+	// Dynamic state the faults and the recovery policy evolve: EDF
+	// deadlines, effective arrivals, and the earliest re-dispatch time
+	// of aborted tasks.
+	dl := append([]rtime.Time(nil), asg.AbsDeadline...)
+	arr := append([]rtime.Time(nil), asg.Arrival...)
+	blockedUntil := make([]rtime.Time, n)
+	wasAborted := make([]bool, n)
+
+	// Pending reclamations: an overrun is only observable when the task
+	// finishes, so its recovery applies at that instant, not at the
+	// dispatch instant the simulator learns the outcome.
+	type reclaimEvent struct {
+		at   rtime.Time
+		task int
+	}
+	var reclaims []reclaimEvent
+
+	// The dispatcher's a-priori screen, as in sched.Dispatch: tasks
+	// with no eligible processor at all can never run.
+	present := p.ClassesPresent()
+	for i := 0; i < n; i++ {
+		ok := false
+		if pin := g.Task(i).Pinned; pin >= 0 {
+			if pin < m && g.Task(i).WCET[p.ClassOf(pin)].IsSet() {
+				ok = true
+			}
+		} else {
+			for k, c := range g.Task(i).WCET {
+				if c.IsSet() && k < len(present) && present[k] {
+					ok = true
+					break
+				}
+			}
+		}
+		if !ok {
+			ex.Feasible = false
+			ex.Missed = append(ex.Missed, i)
+			done[i] = true
+			placed++
+		}
+	}
+
+	dead := func(q int, at rtime.Time) bool { return trace.DownAt[q] <= at }
+
+	// readyOn is sched.Dispatch's readiness rule over the effective
+	// arrivals, plus message jitter and the abort gate.
+	readyOn := func(i, q int) rtime.Time {
+		t := rtime.Max(arr[i], blockedUntil[i])
+		for _, pr := range g.Preds(i) {
+			pl := ex.Placements[pr]
+			if pl.Proc < 0 {
+				if done[pr] {
+					continue // unplaceable predecessor: task is doomed anyway
+				}
+				return rtime.Unset
+			}
+			arrive := pl.Finish + p.CommCost(pl.Proc, q, g.MessageItems(pr, i))
+			if pl.Proc != q {
+				arrive += trace.ExtraMsg(pr, i)
+			}
+			if arrive > t {
+				t = arrive
+			}
+		}
+		for _, res := range g.Task(i).Resources {
+			if resFree[res] > t {
+				t = resFree[res]
+			}
+		}
+		return t
+	}
+
+	applyReclaims := func(now rtime.Time) {
+		for k := 0; k < len(reclaims); {
+			ev := reclaims[k]
+			if ev.at > now {
+				k++
+				continue
+			}
+			reclaims = append(reclaims[:k], reclaims[k+1:]...)
+			pending := make([]bool, n)
+			any := false
+			for j := 0; j < n; j++ {
+				if !done[j] && g.Reaches(ev.task, j) {
+					pending[j] = true
+					any = true
+				}
+			}
+			if !any {
+				continue
+			}
+			nd, ok := slicing.ReclaimWindows(g, asg.Virtual, pending, ev.at, asg.AbsDeadline)
+			if !ok {
+				continue
+			}
+			deg.Reclamations++
+			for j := 0; j < n; j++ {
+				if !pending[j] {
+					continue
+				}
+				dl[j] = nd[j]
+				if arr[j] > ev.at {
+					arr[j] = ev.at // the stale arrival gate is reclaimed too
+				}
+			}
+		}
+	}
+
+	var latenessSum float64
+	now := rtime.Time(0)
+	for placed < n {
+		if opts.Reclaim {
+			applyReclaims(now)
+		}
+		// Dispatch loop at the current instant: repeatedly take the
+		// EDF-closest (under the possibly reclaimed deadlines) task
+		// that is dispatchable on an idle, surviving processor.
+		for {
+			bestTask, bestProc := -1, -1
+			for i := 0; i < n; i++ {
+				if done[i] {
+					continue
+				}
+				task := g.Task(i)
+				if bestTask >= 0 {
+					if dl[i] > dl[bestTask] || (dl[i] == dl[bestTask] && i > bestTask) {
+						continue
+					}
+				}
+				tProc, tFinish := -1, rtime.Time(0)
+				for q := 0; q < m; q++ {
+					if task.Pinned >= 0 && q != task.Pinned {
+						continue
+					}
+					if dead(q, now) || procFree[q] > now {
+						continue
+					}
+					class := p.ClassOf(q)
+					if !task.EligibleOn(class) {
+						continue
+					}
+					r := readyOn(i, q)
+					if !r.IsSet() || r > now {
+						continue
+					}
+					// Processor choice uses worst-case knowledge: the
+					// dispatcher cannot foresee overruns or slowdowns.
+					finish := now + task.WCET[class]
+					if tProc < 0 || finish < tFinish {
+						tProc, tFinish = q, finish
+					}
+				}
+				if tProc >= 0 {
+					bestTask, bestProc = i, tProc
+				}
+			}
+			if bestTask < 0 {
+				break
+			}
+			task := g.Task(bestTask)
+			class := p.ClassOf(bestProc)
+			nominal := task.WCET[class]
+			actual := trace.Exec(bestTask, bestProc, nominal)
+			finish := now + actual
+			if down := trace.DownAt[bestProc]; down < finish {
+				// The processor dies mid-execution: the work is lost
+				// and the task must be re-dispatched elsewhere.
+				deg.Aborted++
+				wasAborted[bestTask] = true
+				blockedUntil[bestTask] = down
+				procFree[bestProc] = down
+				for _, res := range task.Resources {
+					resFree[res] = down
+				}
+				continue
+			}
+			if wasAborted[bestTask] {
+				deg.Migrations++
+				wasAborted[bestTask] = false
+			}
+			if actual > nominal {
+				deg.Overruns++
+			}
+			ex.Placements[bestTask] = sched.Placement{Proc: bestProc, Start: now, Finish: finish}
+			procFree[bestProc] = finish
+			for _, res := range task.Resources {
+				resFree[res] = finish
+			}
+			done[bestTask] = true
+			placed++
+			ex.Order = append(ex.Order, bestTask)
+			if finish > ex.Makespan {
+				ex.Makespan = finish
+			}
+			late := finish - asg.AbsDeadline[bestTask]
+			if late > ex.MaxLateness {
+				ex.MaxLateness = late
+			}
+			if late > 0 {
+				ex.Feasible = false
+				ex.Missed = append(ex.Missed, bestTask)
+				latenessSum += float64(late)
+				if !deg.FirstMiss.IsSet() || finish < deg.FirstMiss {
+					deg.FirstMiss = finish
+				}
+			}
+			if opts.Reclaim && finish > dl[bestTask] {
+				reclaims = append(reclaims, reclaimEvent{at: finish, task: bestTask})
+			}
+		}
+		if placed == n {
+			break
+		}
+
+		// Advance to the next instant anything can change: a surviving
+		// processor frees, a task becomes ready, or a queued recovery
+		// event relaxes an arrival gate.
+		next := rtime.Infinity
+		for q := 0; q < m; q++ {
+			if dead(q, now) {
+				continue
+			}
+			if procFree[q] > now && procFree[q] < next {
+				next = procFree[q]
+			}
+		}
+		for i := 0; i < n; i++ {
+			if done[i] {
+				continue
+			}
+			for q := 0; q < m; q++ {
+				if g.Task(i).Pinned >= 0 && q != g.Task(i).Pinned {
+					continue
+				}
+				if !g.Task(i).EligibleOn(p.ClassOf(q)) {
+					continue
+				}
+				if dead(q, now) {
+					continue // q is already dead; it never hosts i again
+				}
+				r := readyOn(i, q)
+				if r.IsSet() && r > now && r < next {
+					next = r
+				}
+			}
+		}
+		if opts.Reclaim {
+			for _, ev := range reclaims {
+				if ev.at > now && ev.at < next {
+					next = ev.at
+				}
+			}
+		}
+		if next == rtime.Infinity {
+			// Remaining tasks can never run (stuck behind unplaceable
+			// predecessors, or every eligible processor died).
+			for i := 0; i < n; i++ {
+				if !done[i] {
+					done[i] = true
+					placed++
+					ex.Feasible = false
+					ex.Missed = append(ex.Missed, i)
+				}
+			}
+			break
+		}
+		now = next
+	}
+	sort.Ints(ex.Missed)
+
+	// Degradation accounting against the original assignment.
+	outputs := map[int]bool{}
+	for _, o := range g.Outputs() {
+		outputs[o] = true
+	}
+	deg.Misses = len(ex.Missed)
+	for _, i := range ex.Missed {
+		if outputs[i] {
+			deg.ETEMisses++
+		}
+		if g.Task(i).Criticality == taskgraph.Mandatory {
+			deg.MandatoryMisses++
+		}
+		if ex.Placements[i].Proc < 0 {
+			deg.Unplaced++
+		}
+	}
+	if missedPlaced := deg.Misses - deg.Unplaced; missedPlaced > 0 {
+		deg.MeanLateness = latenessSum / float64(missedPlaced)
+	}
+	deg.MaxLateness = ex.MaxLateness
+
+	// Verify the executed schedule under the faulted timing model: the
+	// injected run must satisfy every structural obligation the nominal
+	// one does, with the perturbed execution times, effective arrivals,
+	// and jittered messages as the expectations.
+	lossy := false
+	for _, d := range trace.DownAt {
+		if d < rtime.Infinity {
+			lossy = true
+			break
+		}
+	}
+	tm := timing{
+		exec: func(i, q int) rtime.Time {
+			return trace.Exec(i, q, g.Task(i).WCET[p.ClassOf(q)])
+		},
+		arrival:  func(i int) rtime.Time { return arr[i] },
+		extraMsg: trace.ExtraMsg,
+		// Tasks stranded by a processor loss are degradation, not a
+		// structural violation; without loss the nominal rule applies,
+		// preserving zero-trace identity.
+		allowUnplaced: lossy,
+	}
+	rep, err := replay(g, p, asg, ex, opts, tm)
+	if err != nil {
+		return nil, err
+	}
+	return &InjectedReport{Report: *rep, Executed: ex, Degradation: deg}, nil
 }

@@ -17,11 +17,22 @@
 // but not *per bus*, so a schedule that is valid under the nominal model
 // can be reported as violating under serialization — quantifying how
 // much headroom the nominal model hides.
+//
+// Inject re-executes a plan under a fault trace with the time-driven
+// EDF dispatcher. Like sched.DispatchScratch it tracks readiness
+// incrementally (a ready list, predecessor counters and a message
+// landing table folded in as tasks are placed) instead of rescanning
+// every task and predecessor per decision; its reports are identical to
+// the rescanning executor's, which inject_test.go keeps as the
+// reference.
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/faults"
@@ -77,6 +88,42 @@ func nominalTiming(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment
 		arrival:  func(i int) rtime.Time { return asg.Arrival[i] },
 		extraMsg: func(from, to int) rtime.Time { return 0 },
 	}
+}
+
+// span is one task's busy interval on a processor.
+type span struct {
+	t          int
+	start, end rtime.Time
+}
+
+// spanLists is replay's per-processor span storage, pooled because no
+// Report refers to it.
+type spanLists struct {
+	counts  []int
+	perProc [][]span
+	slab    []span
+}
+
+var spanPool = sync.Pool{New: func() any { return new(spanLists) }}
+
+// carve returns m empty span lists, list q with room for every
+// placement on processor q, all carved from one reused slab.
+func (sl *spanLists) carve(placements []sched.Placement, m int) [][]span {
+	sl.counts = resize(sl.counts, m)
+	total := 0
+	for _, pl := range placements {
+		if pl.Proc >= 0 && pl.Proc < m {
+			sl.counts[pl.Proc]++
+			total++
+		}
+	}
+	sl.slab = resize(sl.slab, total)
+	sl.perProc = resize(sl.perProc, m)
+	slab := sl.slab
+	for q, c := range sl.counts {
+		sl.perProc[q], slab = slab[:0:c], slab[c:]
+	}
+	return sl.perProc
 }
 
 // Transfer describes one message movement over the bus.
@@ -156,11 +203,9 @@ func replay(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 	r := &Report{Valid: true, ProcBusy: make([]rtime.Time, p.M())}
 
 	// Phase 1: per-task static checks and processor accounting.
-	type span struct {
-		t          int
-		start, end rtime.Time
-	}
-	perProc := make([][]span, p.M())
+	sl := spanPool.Get().(*spanLists)
+	defer spanPool.Put(sl)
+	perProc := sl.carve(s.Placements, p.M())
 	for i := 0; i < n; i++ {
 		pl := s.Placements[i]
 		if pl.Proc < 0 {
@@ -207,6 +252,13 @@ func replay(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 
 	// Phase 2: message timing. Collect remote transfers, order them, and
 	// either charge the nominal per-message delay or serialize the bus.
+	arcs := 0
+	for _, a := range g.Arcs() {
+		if s.Placements[a.From].Proc >= 0 && s.Placements[a.To].Proc >= 0 {
+			arcs++
+		}
+	}
+	r.Transfers = make([]Transfer, 0, arcs)
 	for _, a := range g.Arcs() {
 		from, to := s.Placements[a.From], s.Placements[a.To]
 		if from.Proc < 0 || to.Proc < 0 {
@@ -225,15 +277,10 @@ func replay(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 		}
 		r.Transfers = append(r.Transfers, tr)
 	}
-	sort.Slice(r.Transfers, func(i, j int) bool {
-		a, b := r.Transfers[i], r.Transfers[j]
-		if a.Ready != b.Ready {
-			return a.Ready < b.Ready
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
+	// (Ready, From, To) is a total order over distinct arcs, so an
+	// unstable sort has one outcome.
+	slices.SortFunc(r.Transfers, func(a, b Transfer) int {
+		return cmp.Or(cmp.Compare(a.Ready, b.Ready), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	if opts.SerializedBus {
 		var busFree rtime.Time

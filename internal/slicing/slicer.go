@@ -327,10 +327,21 @@ func (c *candidate) better(b *candidate) bool {
 // findCriticalChain implements Step 3: a sweep over the unassigned
 // subgraph that finds the chain minimizing the metric value R. A chain
 // may start and end at any unassigned task; its end-to-end window is
-// [EA(start), LD(end)]. For a fixed (endpoint, length) pair every
-// metric's R is strictly decreasing in the chain's total virtual cost,
-// so a per-start DP that keeps the maximum Σĉ for each (node, length)
-// finds the exact minimum.
+// [EA(start), LD(end)]. A per-start DP keeps the maximum Σĉ (total
+// virtual cost) for each (node, length). That finds the exact minimum
+// wherever R is strictly decreasing in Σĉ for a fixed (endpoint,
+// length) pair:
+//
+//   - PURE-shaped metrics (PURE, ADAPT-G, ADAPT-L, ADAPT-R):
+//     R = (window − Σĉ)/length, always decreasing — exact;
+//   - NORM-shaped metrics (NORM, ADAPT-N): R = window/Σĉ − 1,
+//     decreasing only while the corridor window is positive. It is flat
+//     at a zero window and increasing on a negative (over-constrained)
+//     one, where the DP can miss the minimum-R chain.
+//
+// Windows ≤ 0 arise only when the end-to-end deadlines cannot
+// accommodate the workload. The selection is kept as it is there: a
+// change would move every golden table that crosses such a corridor.
 //
 // The DP itself is window-free, so its candidate lists are cached per
 // start in the workspace and only recomputed for starts whose reachable

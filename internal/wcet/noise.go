@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // ErrorKind selects how the *true* execution times of a workload deviate
@@ -131,6 +132,11 @@ func (p Perturbation) Zero() bool {
 // draw cannot dominate a whole study cell.
 const heavyTailCap = 8.0
 
+// sources recycles Draw's random sources, which no Perturbation retains:
+// seeding a reused source is exactly rand.NewSource, without allocating
+// its 4.9 KB state.
+var sources = sync.Pool{New: func() any { return rand.NewSource(0) }}
+
 // Draw materializes one deterministic perturbation for a workload of n
 // tasks over numClasses processor classes. The same (model, n,
 // numClasses, seed) always yields the same factors: task draws happen in
@@ -150,7 +156,10 @@ func (e ErrorModel) Draw(n, numClasses int, seed int64) Perturbation {
 	if e.Zero() {
 		return p
 	}
-	rng := rand.New(rand.NewSource(seed))
+	src := sources.Get().(rand.Source)
+	defer sources.Put(src)
+	src.Seed(seed)
+	rng := rand.New(src)
 	level := e.Level
 	switch e.Kind {
 	case ErrMultiplicative:

@@ -2,9 +2,10 @@
 # bench-check: the CI performance gate for the pipeline core.
 #
 # Re-runs the benchpipe suite and fails if the cold-build,
-# incremental-rebuild or serve (decode, cache-hit handler) benchmarks
+# incremental-rebuild, serve (decode, cache-hit handler) or study
+# (fault-injected execution, one margins-study graph) benchmarks
 # regressed more than 20% in ns/op or allocs/op against the checked-in
-# baseline (BENCH_pipeline.json).
+# baseline (BENCH_pipeline.json), or the study benchmarks in B/op.
 # Each benchmark keeps the fastest of three runs on both sides of the
 # comparison, so scheduling noise on a shared runner does not trip the
 # gate. Refresh the baseline with `make bench` after an intentional
