@@ -321,19 +321,19 @@ func Distribute(g *Graph, est []Time, m int, metric Metric, params Params) (*Ass
 // Dispatch schedules the assignment with the paper's non-preemptive
 // time-driven EDF dispatcher.
 func Dispatch(g *Graph, p *Platform, asg *Assignment) (*Schedule, error) {
-	return pipeline.TimeDriven().Run(g, p, asg)
+	return pipeline.TimeDriven().Run(g, p, asg, nil)
 }
 
 // PlanEDF schedules the assignment with the offline greedy EDF list
 // scheduler.
 func PlanEDF(g *Graph, p *Platform, asg *Assignment) (*Schedule, error) {
-	return pipeline.Planner().Run(g, p, asg)
+	return pipeline.Planner().Run(g, p, asg, nil)
 }
 
 // InsertEDF schedules with the insertion-based (backfilling) offline EDF
 // variant.
 func InsertEDF(g *Graph, p *Platform, asg *Assignment) (*Schedule, error) {
-	return pipeline.Insertion().Run(g, p, asg)
+	return pipeline.Insertion().Run(g, p, asg, nil)
 }
 
 // DispatchPreemptive schedules with the global preemptive EDF dispatcher

@@ -13,6 +13,9 @@
 //   - build/rebuild-estimates one re-slice correction round: Rebuild
 //     with a full corrected-estimate vector off the previous plan
 //   - build/rebuild-wcet      Rebuild with a single-task WCET bump
+//   - build/rebuild-cheap     one brownout cheap build as pland makes
+//     it: a fresh NORM Replanner per op, rebuilding the 120-task full
+//     plan under an empty delta
 //   - fingerprint             the workload hash alone
 //   - verify/analytic         the holistic-RTA schedulability proof of
 //     the 120-task plan released sporadically — one fixed-point
@@ -36,12 +39,13 @@
 //     through server.Handler() in process: body read, decode, lookup,
 //     answer encode and write, without a network
 //
-// The off/on contrast and the cold/rebuild contrast are the headline
-// numbers: the plan cache is what makes the robustness bisection
-// affordable, and incremental replanning is what makes the re-slice
-// feedback loop cheap. The verify contrast records why analytic-first
-// verification is the serving default worth reaching for: proving
-// deadlines costs a fixed-point iteration, not a timeline.
+// The off/on contrast is the headline number: the plan cache is what
+// makes the robustness bisection affordable. A rebuild is a cold build
+// with the previous plan's fingerprint and estimates carried over, so
+// the cold/rebuild contrast shows what skipping the estimator and the
+// workload hash saves, no more. The verify contrast records why
+// analytic-first verification is the serving default worth reaching
+// for: proving deadlines costs a fixed-point iteration, not a timeline.
 //
 // With -check BASELINE the suite instead runs fresh and exits nonzero
 // if the cold-build, serve or study numbers regressed more than 20%
@@ -59,6 +63,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/deadline"
 	"repro/internal/gen"
 	"repro/internal/graphio"
 	"repro/internal/pipeline"
@@ -66,6 +71,7 @@ import (
 	"repro/internal/rtime"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/slicing"
 	"repro/internal/verify"
 )
 
@@ -87,8 +93,8 @@ type report struct {
 	// probes hit the plan cache instead of re-planning.
 	BreakdownSpeedup float64 `json:"breakdown_speedup"`
 	// ResliceSpeedup is build/cold ns divided by
-	// build/rebuild-estimates ns: how much cheaper one re-slice
-	// correction round is through incremental replanning than through a
+	// build/rebuild-estimates ns: how one re-slice correction round
+	// through Rebuild, which skips the workload hash, compares with a
 	// fresh cold build.
 	ResliceSpeedup float64 `json:"reslice_speedup,omitempty"`
 	// VerifySpeedup is verify/replay ns divided by verify/analytic ns:
@@ -315,6 +321,21 @@ func run(out, check string) error {
 	if va.NsPerOp > 0 {
 		rep.VerifySpeedup = vr.NsPerOp / va.NsPerOp
 	}
+	// A brownout cheap build, shaped like the serving layer's: every
+	// request makes its own Replanner under the NORM metric and rebuilds
+	// a resident full plan of the same workload with an empty delta.
+	cheap := &pipeline.Builder{
+		Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
+		Quality:     pipeline.QualityDegraded,
+	}
+	bench("build/rebuild-cheap", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := cheap.NewReplanner().Rebuild(vplan, pipeline.Delta{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	bench("build/verify-analytic", func(b *testing.B) {
 		builder := &pipeline.Builder{Verifier: verify.AnalyticVerifier()}
 		b.ReportAllocs()
@@ -407,6 +428,7 @@ var gated = []struct {
 }{
 	{"build/cold", false}, {"build/cold-pooled", false},
 	{"build/rebuild-estimates", false}, {"build/rebuild-wcet", false},
+	{"build/rebuild-cheap", false},
 	{"serve/decode", false}, {"serve/handler-hit", false},
 	{"study/inject", true}, {"study/graph", true},
 }

@@ -125,11 +125,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	)
 	switch *schedName {
 	case "dispatch":
-		s, err = pipeline.TimeDriven().Run(g, p, asg)
+		s, err = pipeline.TimeDriven().Run(g, p, asg, nil)
 	case "planner":
-		s, err = pipeline.Planner().Run(g, p, asg)
+		s, err = pipeline.Planner().Run(g, p, asg, nil)
 	case "insert":
-		s, err = pipeline.Insertion().Run(g, p, asg)
+		s, err = pipeline.Insertion().Run(g, p, asg, nil)
 	case "preempt":
 		// The viewer needs the concrete preemptive schedule (slices,
 		// preemption/migration counts), which the generic dispatcher

@@ -20,7 +20,7 @@ import (
 // cold build open until enough concurrent builders have piled onto its
 // flight. The name matches TimeDriven so the cache key is unaffected.
 func slowDispatcher(enter chan<- struct{}, release <-chan struct{}) Dispatcher {
-	return Dispatcher{Name: "time-driven", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error) {
+	return Dispatcher{Name: "time-driven", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Scratch) (*sched.Schedule, error) {
 		enter <- struct{}{}
 		<-release
 		return sched.Dispatch(g, p, asg)
@@ -122,7 +122,7 @@ func TestFollowerRetriesAfterLeaderCanceled(t *testing.T) {
 	rec := NewRecorder(false)
 	var calls atomic.Int64
 	release := make(chan struct{})
-	d := Dispatcher{Name: "time-driven", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error) {
+	d := Dispatcher{Name: "time-driven", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Scratch) (*sched.Schedule, error) {
 		if calls.Add(1) == 1 {
 			// First (doomed) leader: wait until the follower has joined
 			// the flight, then fail as its canceled request would.
@@ -182,7 +182,7 @@ func TestBuildCancelStorm(t *testing.T) {
 	w := workload(t, 6)
 	spec := Spec{Graph: w.Graph, Platform: w.Platform}
 	rec := NewRecorder(false)
-	slow := Dispatcher{Name: "time-driven", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error) {
+	slow := Dispatcher{Name: "time-driven", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Scratch) (*sched.Schedule, error) {
 		time.Sleep(100 * time.Microsecond) // widen the race window
 		return sched.Dispatch(g, p, asg)
 	}}

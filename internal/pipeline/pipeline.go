@@ -23,9 +23,11 @@
 // ladder, brownout cheap builds — use a Replanner
 // (Builder.NewReplanner) whose Rebuild applies a declared Delta
 // (estimates, single-task WCET, window overrides, or a full workload
-// swap) to a previous Plan, reusing everything the delta provably left
-// intact while producing a Plan byte-identical to a cold Build. See
-// DESIGN.md §11 for the memory model and the delta contract.
+// swap) to a previous Plan. A rebuild is a build with the previous
+// plan's workload fingerprint and estimator output carried over (window
+// overrides also replay its assignment instead of slicing), and its
+// Plan is byte-identical to a cold Build. See DESIGN.md §11 for the
+// memory model and the delta contract.
 //
 // The experiment harness, the robustness instruments (robust), the
 // degradation study, the annealing search, and the cmd front-ends all
@@ -91,21 +93,18 @@ func Slice(g *taskgraph.Graph, est []rtime.Time, m int, metric slicing.Metric, p
 
 // Dispatcher is the named third-stage hook: a window assignment into a
 // concrete schedule. The zero value makes Build fall back to TimeDriven.
-// RunScratch, when non-nil, is preferred by pooled builds: it must
-// produce the same schedule as Run while drawing working memory from the
-// supplied scratch (never aliasing it into the schedule).
+// Run draws working memory from ws (nil allocates internally) and never
+// aliases it into the schedule.
 type Dispatcher struct {
-	Name       string
-	Run        func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error)
-	RunScratch func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error)
+	Name string
+	Run  func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error)
 }
 
 // TimeDriven is the paper's non-preemptive time-driven EDF dispatcher.
 func TimeDriven() Dispatcher {
 	return Dispatcher{
 		Name: "time-driven",
-		Run:  sched.Dispatch,
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
+		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
 			return sched.DispatchScratch(g, p, asg, sched.EDFPolicy, ws)
 		},
 	}
@@ -114,20 +113,20 @@ func TimeDriven() Dispatcher {
 // Planner is the offline greedy EDF list scheduler with per-processor
 // reservation.
 func Planner() Dispatcher {
-	return Dispatcher{Name: "planner", Run: sched.EDF, RunScratch: sched.EDFScratch}
+	return Dispatcher{Name: "planner", Run: sched.EDFScratch}
 }
 
 // Insertion is the insertion-based (backfilling) offline EDF variant.
 func Insertion() Dispatcher {
-	return Dispatcher{Name: "insertion", Run: sched.InsertEDF, RunScratch: sched.InsertEDFScratch}
+	return Dispatcher{Name: "insertion", Run: sched.InsertEDFScratch}
 }
 
 // Preemptive is the global preemptive EDF dispatcher with migration.
 // The Plan records its embedded non-preemptive verdict view (feasibility,
 // lateness, placements); callers needing the slice-level detail run
-// sched.DispatchPreemptive directly.
+// sched.DispatchPreemptive directly. It takes no scratch.
 func Preemptive() Dispatcher {
-	return Dispatcher{Name: "preemptive", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error) {
+	return Dispatcher{Name: "preemptive", Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Scratch) (*sched.Schedule, error) {
 		ps, err := sched.DispatchPreemptive(g, p, asg)
 		if err != nil {
 			return nil, err
@@ -141,10 +140,7 @@ func Preemptive() Dispatcher {
 func WithPolicy(pol sched.Policy) Dispatcher {
 	return Dispatcher{
 		Name: "policy:" + pol.String(),
-		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (*sched.Schedule, error) {
-			return sched.DispatchWith(g, p, asg, pol)
-		},
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
+		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, ws *sched.Scratch) (*sched.Schedule, error) {
 			return sched.DispatchScratch(g, p, asg, pol, ws)
 		},
 	}
@@ -186,13 +182,11 @@ func (o VerifyOutcome) String() string {
 // Verifier is the named optional fourth-stage hook: an independent
 // schedulability verdict on the assignment. It runs after dispatch, so
 // replay-style verifiers get the concrete schedule; analytic verifiers
-// may ignore it. The zero value skips the stage. RunScratch, when
-// non-nil, is preferred by pooled builds and must return the same
-// verdict as Run over the supplied scratch.
+// may ignore it. The zero value skips the stage. Run may draw working
+// memory from sc and must accept nil.
 type Verifier struct {
-	Name       string
-	Run        func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule) (VerifyOutcome, error)
-	RunScratch func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error)
+	Name string
+	Run  func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error)
 }
 
 // FeasVerifier runs the fast necessary feasibility conditions; a
@@ -204,14 +198,7 @@ type Verifier struct {
 func FeasVerifier() Verifier {
 	return Verifier{
 		Name: "feas",
-		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule) (VerifyOutcome, error) {
-			bad, err := feas.Infeasible(g, p, asg)
-			if err == nil && bad {
-				return VerifyRejected, nil
-			}
-			return VerifyInconclusive, nil
-		},
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error) {
+		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error) {
 			bad, err := feas.InfeasibleScratch(g, p, asg, sc)
 			if err == nil && bad {
 				return VerifyRejected, nil
@@ -450,15 +437,7 @@ func (b *Builder) buildContextWith(ctx context.Context, spec Spec, sc *BuildScra
 	}
 
 	dist := b.distributor()
-	distName, params := distributorKey(dist)
-	key := Key{
-		Workload:    Fingerprint(spec.Graph, spec.Platform),
-		Estimates:   hashTimes(est),
-		Distributor: distName,
-		Params:      params,
-		Dispatcher:  b.dispatcher().Name,
-		Verifier:    b.Verifier.Name,
-	}
+	key := b.key(Fingerprint(spec.Graph, spec.Platform), hashTimes(est), dist)
 	plan, _, err := b.buildKeyed(ctx, spec, dist, key, est, estName, stats, sc)
 	return plan, err
 }
@@ -526,15 +505,7 @@ func (b *Builder) Probe(spec Spec) (*Plan, Key, error) {
 			return nil, Key{}, err
 		}
 	}
-	distName, params := distributorKey(b.distributor())
-	key := Key{
-		Workload:    Fingerprint(spec.Graph, spec.Platform),
-		Estimates:   hashTimes(est),
-		Distributor: distName,
-		Params:      params,
-		Dispatcher:  b.dispatcher().Name,
-		Verifier:    b.Verifier.Name,
-	}
+	key := b.key(Fingerprint(spec.Graph, spec.Platform), hashTimes(est), b.distributor())
 	if b.Cache == nil {
 		return nil, key, nil
 	}
@@ -598,14 +569,8 @@ func (b *Builder) buildCold(ctx context.Context, spec Spec, dist deadline.Distri
 	if err := b.stageGate(ctx); err != nil {
 		return nil, err
 	}
-	d := b.dispatcher()
 	probe = beginStage(countAllocs)
-	var s *sched.Schedule
-	if d.RunScratch != nil {
-		s, err = d.RunScratch(spec.Graph, spec.Platform, asg, sc.Sched)
-	} else {
-		s, err = d.Run(spec.Graph, spec.Platform, asg)
-	}
+	s, err := b.dispatcher().Run(spec.Graph, spec.Platform, asg, sc.Sched)
 	stats.Dispatch = probe.end()
 	if err != nil {
 		b.Recorder.recordError()
@@ -619,17 +584,12 @@ func (b *Builder) buildCold(ctx context.Context, spec Spec, dist deadline.Distri
 		MaxLateness:     s.MaxLateness,
 		MinLaxity:       asg.MinLaxity(est),
 	}
-	if b.Verifier.Run != nil || b.Verifier.RunScratch != nil {
+	if b.Verifier.Run != nil {
 		if err := b.stageGate(ctx); err != nil {
 			return nil, err
 		}
 		probe = beginStage(countAllocs)
-		var outcome VerifyOutcome
-		if b.Verifier.RunScratch != nil {
-			outcome, err = b.Verifier.RunScratch(spec.Graph, spec.Platform, asg, s, sc.Feas)
-		} else {
-			outcome, err = b.Verifier.Run(spec.Graph, spec.Platform, asg, s)
-		}
+		outcome, err := b.Verifier.Run(spec.Graph, spec.Platform, asg, s, sc.Feas)
 		stats.Verify = probe.end()
 		if err != nil {
 			b.Recorder.recordError()
@@ -670,13 +630,21 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// distributorKey extracts the cache-key identity of a distributor: its
-// name, plus the adaptive parameters when the slicing technique backs
-// it (two Sliced distributors with the same metric but different k
-// factors must never share a plan).
-func distributorKey(d deadline.Distributor) (string, slicing.Params) {
-	if s, ok := d.(deadline.Sliced); ok {
-		return s.Name(), s.Params
+// key is the cache key of a build, through dist and this builder's
+// dispatcher and verifier, of the workload fingerprinted as workload
+// with estimates hashing to estimates. A Sliced distributor adds its
+// adaptive parameters to its name: two with the same metric but
+// different k factors must never share a plan.
+func (b *Builder) key(workload, estimates uint64, dist deadline.Distributor) Key {
+	k := Key{
+		Workload:    workload,
+		Estimates:   estimates,
+		Distributor: dist.Name(),
+		Dispatcher:  b.dispatcher().Name,
+		Verifier:    b.Verifier.Name,
 	}
-	return d.Name(), slicing.Params{}
+	if s, ok := dist.(deadline.Sliced); ok {
+		k.Params = s.Params
+	}
+	return k
 }

@@ -178,9 +178,10 @@ type RebuildOutcome int
 const (
 	// RebuildHit: the plan was already resident in the cache.
 	RebuildHit RebuildOutcome = iota
-	// RebuildIncremental: the plan was rebuilt through the Replanner's
-	// retained scratch — prior work (workload fingerprint, estimator
-	// output, surviving slicer candidates, warm buffers) was reused.
+	// RebuildIncremental: the plan was rebuilt off the previous one,
+	// reusing its workload fingerprint, its estimator output (for every
+	// delta but DeltaWorkload) and, for DeltaWindows, its assignment in
+	// place of the slicer.
 	RebuildIncremental
 	// RebuildFull: the delta invalidated everything and a cold build of
 	// the new workload ran instead.
@@ -200,28 +201,21 @@ func (o RebuildOutcome) String() string {
 	return fmt.Sprintf("RebuildOutcome(%d)", int(o))
 }
 
-// Replanner rebuilds plans incrementally against a previous Plan. It
-// owns a private retaining BuildScratch: across Rebuild calls on the
-// same graph, the slicer keeps the candidate lists whose reachable
-// tasks' virtual costs did not change, so an estimate-correction
-// iteration re-runs only the invalidated critical-chain searches. The
-// produced Plan is byte-identical to a cold Build of the mutated
-// workload — retention moves work, never results (the workspace's
-// exactness contract).
+// Replanner rebuilds plans against a previous Plan: a build with the
+// previous plan's workload fingerprint and estimates carried over, so
+// the estimator never re-runs and the workload is never re-hashed. Its
+// builds draw pooled scratch like every other build, and the produced
+// Plan is byte-identical to a cold Build of the mutated workload.
 //
-// A Replanner is NOT safe for concurrent use; it is cheap to create,
-// so give each goroutine its own. The underlying Builder's cache and
-// recorder stay shared and concurrency-safe.
+// A Replanner holds only its Builder, which is safe for concurrent use,
+// so one Replanner may serve several goroutines.
 type Replanner struct {
-	b  *Builder
-	sc *BuildScratch
+	b *Builder
 }
 
 // NewReplanner returns a Replanner over this builder's configuration.
 func (b *Builder) NewReplanner() *Replanner {
-	sc := NewBuildScratch()
-	sc.Slicing.Retain = true
-	return &Replanner{b: b, sc: sc}
+	return &Replanner{b: b}
 }
 
 // Rebuild re-plans prev's workload under the given delta; see
@@ -232,12 +226,11 @@ func (rp *Replanner) Rebuild(prev *Plan, delta Delta) (*Plan, RebuildOutcome, er
 
 // RebuildContext produces the Plan a cold BuildContext of the mutated
 // workload would produce — same fingerprint, assignment, schedule, and
-// verdict — while reusing everything the delta provably left intact:
-// the workload fingerprint, the previous estimator output (no estimator
-// re-run for estimate and window deltas), the Replanner's warm build
-// scratch, and — for estimate deltas on the same graph — the slicer's
-// surviving candidate lists. Cache and recorder behavior match
-// BuildContext's: hits coalesce and are reported as RebuildHit.
+// verdict — while reusing what the delta provably left intact: the
+// workload fingerprint, the previous estimator output (the estimator
+// never re-runs), and for DeltaWindows the previous assignment, which
+// replaces the slicer. Cache and recorder behavior match BuildContext's:
+// hits coalesce and are reported as RebuildHit.
 //
 // DeltaWorkload (or a nil prev) falls back to a full build of the new
 // workload; this is reported as RebuildFull.
@@ -318,17 +311,10 @@ func (rp *Replanner) RebuildContext(ctx context.Context, prev *Plan, delta Delta
 		dist = b.distributor()
 	}
 
-	distName, params := distributorKey(dist)
-	key := Key{
-		Workload:    prev.Key.Workload, // same graph and platform: reuse the fingerprint
-		Estimates:   estHash,
-		Distributor: distName,
-		Params:      params,
-		Dispatcher:  b.dispatcher().Name,
-		Verifier:    b.Verifier.Name,
-	}
+	// Same graph and platform: reuse the fingerprint.
+	key := b.key(prev.Key.Workload, estHash, dist)
 	spec := Spec{Graph: prev.Graph, Platform: prev.Platform, Estimates: est}
-	plan, hit, err := b.buildKeyed(ctx, spec, dist, key, est, estName, PlanStats{}, rp.sc)
+	plan, hit, err := b.buildKeyed(ctx, spec, dist, key, est, estName, PlanStats{}, nil)
 	outcome := RebuildIncremental
 	if hit {
 		outcome = RebuildHit

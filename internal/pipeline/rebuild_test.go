@@ -42,8 +42,7 @@ func rebuildPlanEqual(t *testing.T, context string, want, got *Plan) {
 
 // The incremental-replanning exactness property: across arbitrary
 // sequences of estimate, single-task, and window deltas threaded through
-// ONE Replanner (whose retained scratch accumulates state), every
-// Rebuild must be plan-identical to a cold Build of the mutated
+// ONE Replanner, every Rebuild must be plan-identical to a cold Build of the mutated
 // workload by a fresh builder.
 func TestRebuildMatchesColdBuild(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
@@ -98,8 +97,7 @@ func TestRebuildMatchesColdBuild(t *testing.T) {
 				t.Fatalf("seed %d step %d: outcome %v, want incremental (no cache configured)", seed, step, outcome)
 			}
 
-			// Cold comparator with a fresh builder: same config, no
-			// retained state.
+			// Cold comparator with a fresh builder: same config.
 			fresh := &Builder{Verifier: FeasVerifier()}
 			var want *Plan
 			if delta.Kind == DeltaWindows {
@@ -333,9 +331,9 @@ func TestPooledBuildsNeverMutateCachedPlans(t *testing.T) {
 		plans[i], snaps[i] = p, raw
 	}
 
-	// Phase 2: churn. Concurrent cold builds (pooled scratch) and
-	// replanners (retained scratch) over fresh workloads and over the
-	// kept plans' own graphs.
+	// Phase 2: churn. Concurrent cold builds and replanners over fresh
+	// workloads and over the kept plans' own graphs, all on pooled
+	// scratch.
 	var wg sync.WaitGroup
 	for gid := 0; gid < 4; gid++ {
 		wg.Add(1)

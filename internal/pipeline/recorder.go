@@ -65,7 +65,8 @@ type Summary struct {
 	// Rebuilds counts Replanner.Rebuild calls; RebuildHits the subset
 	// answered from cache residency, RebuildFallbacks the subset that
 	// degenerated to a full cold build (workload deltas). The remainder
-	// ran incrementally over retained scratch.
+	// ran incrementally, off the previous plan's fingerprint and
+	// estimates.
 	Rebuilds, RebuildHits, RebuildFallbacks uint64
 
 	Estimate StageSummary

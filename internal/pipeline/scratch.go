@@ -11,14 +11,14 @@ import (
 // BuildScratch bundles the reusable working memory of one cold build:
 // the slicer's workspace (DP tables, candidate caches, corridor arrays),
 // the scheduler scratch (ready tables, landing matrix, timelines), and
-// the verifier's boundary buffers. Every Build draws one from a package
-// pool and returns it afterwards, so steady-state builds allocate only
-// the immutable Plan artifact itself — nothing reachable from a Plan
-// ever aliases scratch memory (each sub-scratch guarantees this for its
-// stage's output).
+// the verifier's boundary buffers. Every build, Replanner rebuilds
+// included, draws one from a package pool and returns it afterwards, so
+// steady-state builds allocate only the immutable Plan artifact itself —
+// nothing reachable from a Plan ever aliases scratch memory (each
+// sub-scratch guarantees this for its stage's output). BuildWith takes
+// a caller-owned one instead.
 //
-// A BuildScratch is not safe for concurrent use. Replanners own a
-// private, retaining instance instead of the pooled ones.
+// A BuildScratch is not safe for concurrent use.
 type BuildScratch struct {
 	Slicing *slicing.Workspace
 	Sched   *sched.Scratch
@@ -37,13 +37,5 @@ func NewBuildScratch() *BuildScratch {
 
 var scratchPool = sync.Pool{New: func() any { return NewBuildScratch() }}
 
-func getScratch() *BuildScratch { return scratchPool.Get().(*BuildScratch) }
-func putScratch(sc *BuildScratch) {
-	if sc.Slicing.Retain {
-		// A retaining workspace (a Replanner's) must never enter the
-		// shared pool: its cross-build candidate reuse is only exact for
-		// its owner's delta sequence.
-		return
-	}
-	scratchPool.Put(sc)
-}
+func getScratch() *BuildScratch   { return scratchPool.Get().(*BuildScratch) }
+func putScratch(sc *BuildScratch) { scratchPool.Put(sc) }

@@ -304,8 +304,8 @@ func ResliceLoopContext(ctx context.Context, g *taskgraph.Graph, p *arch.Platfor
 			plan, err = b.BuildContext(ctx, pipeline.Spec{Graph: g, Platform: p, Estimates: cur})
 		} else {
 			// Correction rounds change only the estimate vector, so they
-			// re-plan incrementally off the previous round's plan instead
-			// of keying a fresh cold build.
+			// rebuild off the previous round's plan, which carries the
+			// workload fingerprint over instead of re-hashing the graph.
 			var outcome pipeline.RebuildOutcome
 			plan, outcome, err = rp.RebuildContext(ctx, plan, pipeline.EstimatesDelta(cur))
 			if err == nil {

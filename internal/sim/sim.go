@@ -324,28 +324,8 @@ func replay(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 
 	// Phase 3: exclusive resources (the §7.3 extension) — two holders of
 	// the same resource may never overlap, independent of processors.
-	type hold struct {
-		t          int
-		start, end rtime.Time
-	}
-	perRes := map[int][]hold{}
-	for i, t := range g.Tasks() {
-		pl := s.Placements[i]
-		if pl.Proc < 0 {
-			continue
-		}
-		for _, res := range t.Resources {
-			perRes[res] = append(perRes[res], hold{i, pl.Start, pl.Finish})
-		}
-	}
-	for res, holds := range perRes {
-		sort.Slice(holds, func(a, b int) bool { return holds[a].start < holds[b].start })
-		for i := 1; i < len(holds); i++ {
-			if holds[i].start < holds[i-1].end {
-				r.violate("resource %d held by tasks %d and %d concurrently",
-					res, holds[i-1].t, holds[i].t)
-			}
-		}
+	for _, c := range sched.ResourceConflicts(g, s) {
+		r.violate("resource %d held by tasks %d and %d concurrently", c.Resource, c.First, c.Second)
 	}
 	sort.Ints(r.DeadlineMisses)
 	return r, nil

@@ -101,6 +101,47 @@ func TestReplayCatchesProcessorOverlap(t *testing.T) {
 	}
 }
 
+// Conflicts on two exclusive resources are reported in resource index
+// order on every call: sched.Verify returns resource 0's, and Replay
+// lists both the same way each time. Tasks 0 and 1 hold resource 1, so
+// neither task order nor map order yields this.
+func TestResourceConflictsReportedInIndexOrder(t *testing.T) {
+	g := taskgraph.NewGraph(1)
+	for i, res := range []int{1, 1, 0, 0} {
+		g.MustAddTask(string(rune('a'+i)), c1(10), 0).Resources = []int{res}
+	}
+	g.MustFreeze()
+	p := arch.Homogeneous(4)
+	asg := &slicing.Assignment{
+		Arrival:     []rtime.Time{0, 0, 0, 0},
+		AbsDeadline: []rtime.Time{30, 30, 30, 30},
+		RelDeadline: []rtime.Time{30, 30, 30, 30},
+	}
+	s := &sched.Schedule{Placements: []sched.Placement{
+		{Proc: 0, Start: 0, Finish: 10},
+		{Proc: 1, Start: 5, Finish: 15},
+		{Proc: 2, Start: 0, Finish: 10},
+		{Proc: 3, Start: 5, Finish: 15},
+	}}
+	want := []string{
+		"resource 0 held by tasks 2 and 3 concurrently",
+		"resource 1 held by tasks 0 and 1 concurrently",
+	}
+	for call := 0; call < 200; call++ {
+		err := sched.Verify(g, p, asg, s)
+		if err == nil || err.Error() != "sched: "+want[0] {
+			t.Fatalf("call %d: Verify = %v, want sched: %s", call, err, want[0])
+		}
+		r, err := Replay(g, p, asg, s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(r.Violations, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("call %d: Replay violations %q, want %q", call, r.Violations, want)
+		}
+	}
+}
+
 func TestReplayCatchesWCETMismatchAndEarlyArrival(t *testing.T) {
 	g := taskgraph.NewGraph(1)
 	g.MustAddTask("a", c1(10), 0)

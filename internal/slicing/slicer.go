@@ -166,7 +166,7 @@ func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metr
 	env := &Env{G: g, Est: est, M: m, Params: params}
 	n := g.NumTasks()
 	vc := metric.VirtualCosts(env)
-	ws.prepare(g, vc)
+	ws.prepare(g)
 	s := &slicer{
 		g:        g,
 		metric:   metric,
@@ -328,20 +328,28 @@ func (c *candidate) better(b *candidate) bool {
 // subgraph that finds the chain minimizing the metric value R. A chain
 // may start and end at any unassigned task; its end-to-end window is
 // [EA(start), LD(end)]. A per-start DP keeps the maximum Σĉ (total
-// virtual cost) for each (node, length). That finds the exact minimum
-// wherever R is strictly decreasing in Σĉ for a fixed (endpoint,
-// length) pair:
+// virtual cost) for each (node, length), which is the minimum-R chain of
+// its (start, end, length) wherever R does not rise with Σĉ:
 //
 //   - PURE-shaped metrics (PURE, ADAPT-G, ADAPT-L, ADAPT-R):
-//     R = (window − Σĉ)/length, always decreasing — exact;
-//   - NORM-shaped metrics (NORM, ADAPT-N): R = window/Σĉ − 1,
-//     decreasing only while the corridor window is positive. It is flat
-//     at a zero window and increasing on a negative (over-constrained)
-//     one, where the DP can miss the minimum-R chain.
+//     R = (window − Σĉ)/length always falls as Σĉ grows;
+//   - NORM-shaped metrics (NORM, ADAPT-N): R = window/Σĉ − 1 falls on a
+//     positive window, is flat on a zero one (the tie-break then prefers
+//     the larger Σĉ) and rises on a negative one.
 //
-// Windows ≤ 0 arise only when the end-to-end deadlines cannot
-// accommodate the workload. The selection is kept as it is there: a
-// change would move every golden table that crosses such a corridor.
+// In Consistent mode with positive estimates no chain whose window is
+// ≤ 0 is the minimum: LD(start) ≤ LD(end) minus the estimates of the
+// chain's later tasks, so the single-task chain at its own start has a
+// strictly smaller window over a no larger Σĉ, hence a strictly smaller
+// R, and the DP keeps every length-1 candidate. The selection is exact
+// there. A zero estimate breaks the strict step (the slicer may then
+// take a shorter chain of equal R than the length tie-break prefers),
+// and Faithful mode has no LD propagation: on a window ≤ 0 its
+// NORM-shaped selection can miss the minimum R. Either way the round
+// over-constrains whichever chain is taken. The selection is kept as it
+// is, since changing it would move the golden tables that cross such
+// corridors; TestChainSelectionMatchesExhaustive pins all of this
+// against enumeration.
 //
 // The DP itself is window-free, so its candidate lists are cached per
 // start in the workspace and only recomputed for starts whose reachable
@@ -357,9 +365,7 @@ func (s *slicer) findCriticalChain() ([]int, float64, bool) {
 		if s.mode == Faithful && !s.ea[start].IsSet() {
 			continue // Figure 1: chains begin at recorded arrivals
 		}
-		switch ws.state[start] {
-		case candBase, candMid:
-		default:
+		if !ws.valid[start] {
 			s.runDP(start)
 			s.collectCands(start)
 		}
@@ -507,18 +513,14 @@ func (s *slicer) collectCands(start int) {
 		}
 	}
 	ws.cands[start] = cl
-	if s.left == s.n {
-		ws.state[start] = candBase
-	} else {
-		ws.state[start] = candMid
-	}
+	ws.valid[start] = true
 }
 
 // reconstruct recovers the winning chain by walking the parent table of
 // the start's DP, re-running it first unless it is the one still in the
 // workspace tables. A cached candidate's DP re-run is bit-identical to
 // the run that produced it: its validity guarantees no task it reaches
-// was assigned (or re-costed) since.
+// was assigned since.
 func (s *slicer) reconstruct(start, end, length int) []int {
 	ws := s.ws
 	if ws.dpStart != start {

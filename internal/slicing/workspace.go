@@ -8,36 +8,14 @@ import (
 // cand is one cached chain candidate of a start task: the best
 // (maximum-Σĉ) chain of length l from the start to end. Candidates are
 // window-free — the end-to-end window [EA(start), LD(end)] is applied at
-// evaluation time, which is what makes them reusable across rounds (and,
-// with Retain, across builds): the DP that produces them depends only on
-// the graph, the virtual costs, and the set of already-assigned tasks.
+// evaluation time, which is what makes them reusable across rounds: the
+// DP that produces them depends only on the graph, the virtual costs,
+// and the set of already-assigned tasks.
 type cand struct {
 	end int32
 	l   int32
 	sum rtime.Time
 }
-
-// candState tracks the validity of one start's cached candidate list.
-type candState uint8
-
-const (
-	// candInvalid: no usable candidates; the DP must run.
-	candInvalid candState = iota
-	// candBase: computed against an empty assigned set (round 0). Base
-	// entries survive into the next build of the same graph when Retain
-	// is set and no reached task's virtual cost changed.
-	candBase
-	// candMid: computed mid-build against a partial assigned set; valid
-	// for the remainder of this build only.
-	candMid
-	// candBaseStale: a base list whose reach intersected a chain
-	// committed later in the same build. It is unusable for the rest of
-	// that build — but it was computed against the empty assigned set,
-	// which is exactly the next build's round-0 state, so with Retain it
-	// becomes exact (candBase) again at the next prepare unless a
-	// reached task's virtual cost changed.
-	candBaseStale
-)
 
 // Workspace is the reusable working memory of Distribute: the flat
 // critical-chain DP tables, the per-start candidate caches, the EA/LD
@@ -50,23 +28,12 @@ const (
 // memory: all assignment fields are freshly allocated on every call, so
 // assignments stay immutable when the workspace is reused.
 type Workspace struct {
-	// Retain opts into cross-invocation candidate reuse: when the next
-	// Distribute call runs over the same *taskgraph.Graph, round-0
-	// candidate lists of starts whose reachable set contains no task
-	// with a changed virtual cost are kept instead of recomputed. This
-	// is the incremental path pipeline.Rebuild rides for estimate-only
-	// deltas. Leave false for independent builds (the default), so a
-	// "cold" build never borrows work from a previous identical one.
-	Retain bool
-
-	g     *taskgraph.Graph
 	n     int
 	depth int
-	words int // ⌈n/64⌉, the bitset width
-	vc    []rtime.Time
 
-	// Per-start candidate store.
-	state []candState
+	// Per-start candidate store: valid[s] marks cands[s] exact for the
+	// rest of the current build.
+	valid []bool
 	cands [][]cand
 	reach [][]uint64 // reach[s]: bitset of tasks the DP from s touched
 
@@ -100,8 +67,8 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Distribute runs the slicing algorithm through this workspace; see the
 // package-level Distribute for the algorithm contract. The result is
-// identical to Distribute's for any workspace state: reuse (and Retain)
-// change where working memory comes from, never the outcome.
+// identical to Distribute's for any workspace state: reuse changes where
+// working memory comes from, never the outcome.
 func (ws *Workspace) Distribute(g *taskgraph.Graph, est []rtime.Time, m int, metric Metric, params Params) (*Assignment, error) {
 	if ws == nil {
 		ws = &Workspace{}
@@ -109,59 +76,18 @@ func (ws *Workspace) Distribute(g *taskgraph.Graph, est []rtime.Time, m int, met
 	return distribute(ws, g, est, m, metric, params)
 }
 
-// prepare sizes the workspace for graph g and reconciles the retained
-// candidate store with the new virtual costs: on a fresh graph (or with
-// Retain off) everything is invalidated; otherwise base entries survive
-// unless a task they reach changed its virtual cost, and mid entries —
-// valid only within the build that made them — are always dropped.
-func (ws *Workspace) prepare(g *taskgraph.Graph, vc []rtime.Time) {
+// prepare sizes the workspace for graph g and invalidates every
+// candidate list. A completed build leaves none valid (each list's reach
+// contains its own start, and every task is committed in some round),
+// but a build cut short by an error or a panic can return a workspace
+// with live lists to its pool.
+func (ws *Workspace) prepare(g *taskgraph.Graph) {
 	n, depth := g.NumTasks(), g.Depth()
 	words := (n + 63) / 64
-	fresh := !ws.Retain || ws.g != g || ws.n != n || ws.depth != depth
-
 	ws.grow(n, depth, words)
-
-	if fresh {
-		for i := 0; i < n; i++ {
-			ws.state[i] = candInvalid
-		}
-		copy(ws.vc, vc)
-	} else {
-		d := ws.dirty
-		for i := range d {
-			d[i] = 0
-		}
-		any := false
-		for i := 0; i < n; i++ {
-			if ws.vc[i] != vc[i] {
-				d[i>>6] |= 1 << (uint(i) & 63)
-				ws.vc[i] = vc[i]
-				any = true
-			}
-		}
-		for s := 0; s < n; s++ {
-			switch ws.state[s] {
-			case candMid:
-				// Mid lists were computed against a partial assigned set
-				// of the previous build; the new build assigns nothing
-				// yet, so they must go.
-				ws.state[s] = candInvalid
-			case candBase, candBaseStale:
-				// Base lists were computed against the empty assigned
-				// set, which is exactly the new build's round-0 state:
-				// they are exact again, unless a reached task's virtual
-				// cost changed.
-				if any && intersects(ws.reach[s], d) {
-					ws.state[s] = candInvalid
-				} else {
-					ws.state[s] = candBase
-				}
-			}
-		}
-	}
-
-	ws.g, ws.n, ws.depth, ws.words = g, n, depth, words
+	ws.n, ws.depth = n, depth
 	for i := 0; i < n; i++ {
+		ws.valid[i] = false
 		ws.assigned[i] = false
 	}
 	ws.dpStart = -1
@@ -193,12 +119,10 @@ func (ws *Workspace) grow(n, depth, words int) {
 	}
 	ws.lo, ws.hi = ws.lo[:n], ws.hi[:n]
 
-	if cap(ws.state) < n {
-		state := make([]candState, n)
-		copy(state, ws.state)
-		ws.state = state
+	if cap(ws.valid) < n {
+		ws.valid = make([]bool, n)
 	}
-	ws.state = ws.state[:n]
+	ws.valid = ws.valid[:n]
 	if len(ws.cands) < n {
 		cands := make([][]cand, n)
 		copy(cands, ws.cands)
@@ -216,7 +140,6 @@ func (ws *Workspace) grow(n, depth, words int) {
 		ws.reach[i] = ws.reach[i][:words]
 	}
 
-	ws.vc = growTimes(ws.vc, n)
 	ws.ea = growTimes(ws.ea, n)
 	ws.ld = growTimes(ws.ld, n)
 	ws.costs = growTimes(ws.costs, n)
@@ -258,10 +181,8 @@ func intersects(a, b []uint64) bool {
 // invalidateChain drops every candidate list whose DP reached a task
 // of the just-committed chain: those lists were computed when the
 // chain's tasks were still unassigned, so their sums and reachability
-// are no longer exact. Base lists are demoted to candBaseStale rather
-// than candInvalid so that, with Retain, prepare can resurrect them at
-// the next build's round 0. Lists whose reach is disjoint from the
-// chain would compute bit-identically today and stay valid.
+// are no longer exact. Lists whose reach is disjoint from the chain
+// would compute bit-identically today and stay valid.
 func (ws *Workspace) invalidateChain(chain []int) {
 	d := ws.dirty
 	for i := range d {
@@ -271,15 +192,8 @@ func (ws *Workspace) invalidateChain(chain []int) {
 		d[t>>6] |= 1 << (uint(t) & 63)
 	}
 	for s := 0; s < ws.n; s++ {
-		switch ws.state[s] {
-		case candBase:
-			if intersects(ws.reach[s], d) {
-				ws.state[s] = candBaseStale
-			}
-		case candMid:
-			if intersects(ws.reach[s], d) {
-				ws.state[s] = candInvalid
-			}
+		if ws.valid[s] && intersects(ws.reach[s], d) {
+			ws.valid[s] = false
 		}
 	}
 	ws.dpStart = -1

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/rtime"
 )
 
 // allMetrics is the full metric set the workspace must stay exact for:
@@ -23,7 +21,7 @@ func paramsForMode(mode Mode) []Params {
 	return []Params{d, c}
 }
 
-// A reused workspace (without retention) must reproduce the fresh
+// A reused workspace must reproduce the fresh
 // Distribute result bit-for-bit across arbitrary workload sequences —
 // the zero-alloc cold path may change where working memory lives, never
 // the assignment.
@@ -55,104 +53,6 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// With Retain set, candidate lists survive across builds of the same
-// graph and are invalidated by virtual-cost diffs. Every retained build
-// must still be bit-identical to a fresh one — across single-task
-// estimate bumps, global scalings, metric switches, and interleaved
-// foreign graphs that force a full reset.
-func TestWorkspaceRetainIncrementalExact(t *testing.T) {
-	for _, mode := range []Mode{Consistent, Faithful} {
-		rng := rand.New(rand.NewSource(42))
-		for trial := 0; trial < 8; trial++ {
-			g, est := randomWorkload(rng)
-			m := 1 + rng.Intn(4)
-			ws := NewWorkspace()
-			ws.Retain = true
-			metrics := allMetrics()
-			metric := metrics[rng.Intn(len(metrics))]
-			params := paramsForMode(mode)[rng.Intn(2)]
-
-			cur := append([]rtime.Time(nil), est...)
-			check := func(step string) {
-				t.Helper()
-				want, err1 := Distribute(g, cur, m, metric, params)
-				got, err2 := ws.Distribute(g, cur, m, metric, params)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("mode %v trial %d %s: fresh err=%v retained err=%v", mode, trial, step, err1, err2)
-				}
-				if err1 == nil && !reflect.DeepEqual(want, got) {
-					t.Fatalf("mode %v trial %d %s (%s): retained workspace diverged", mode, trial, step, metric.Name())
-				}
-			}
-
-			check("initial")
-			check("repeat-unchanged")
-			for step := 0; step < 12; step++ {
-				switch rng.Intn(4) {
-				case 0: // single-task WCET bump (the ResliceLoop shape)
-					i := rng.Intn(len(cur))
-					cur[i] += rtime.Time(1 + rng.Intn(10))
-					check("bump")
-				case 1: // global inflation (breakdown-factor shape)
-					for i := range cur {
-						cur[i] += cur[i] / 4
-					}
-					check("inflate")
-				case 2: // metric switch under the same estimates
-					metric = metrics[rng.Intn(len(metrics))]
-					check("metric-switch")
-				case 3: // foreign graph resets retention, then back
-					g2, est2 := randomWorkload(rng)
-					want, err1 := Distribute(g2, est2, m, metric, params)
-					got, err2 := ws.Distribute(g2, est2, m, metric, params)
-					if (err1 == nil) != (err2 == nil) {
-						t.Fatalf("mode %v trial %d foreign: err %v vs %v", mode, trial, err1, err2)
-					}
-					if err1 == nil && !reflect.DeepEqual(want, got) {
-						t.Fatalf("mode %v trial %d: foreign graph diverged", mode, trial)
-					}
-					check("return-after-foreign")
-				}
-			}
-		}
-	}
-}
-
-// The candidate-cache machinery (per-start lists, stale demotion,
-// round-0 resurrection of base lists) must be invisible: a retained
-// workspace swept across every metric and parameter set at every step
-// must select exactly the chains a fresh Distribute does, even as
-// single-task bumps accumulate and stale lists pile up between sweeps.
-func TestRetainSweepMatchesFresh(t *testing.T) {
-	for _, mode := range []Mode{Consistent, Faithful} {
-		rng := rand.New(rand.NewSource(99))
-		for trial := 0; trial < 10; trial++ {
-			g, est := randomWorkload(rng)
-			m := 1 + rng.Intn(6)
-			ws := NewWorkspace()
-			ws.Retain = true
-			cur := append([]rtime.Time(nil), est...)
-			for step := 0; step < 6; step++ {
-				for _, metric := range allMetrics() {
-					for _, params := range paramsForMode(mode) {
-						want, err1 := Distribute(g, cur, m, metric, params)
-						got, err2 := ws.Distribute(g, cur, m, metric, params)
-						if (err1 == nil) != (err2 == nil) {
-							t.Fatalf("mode %v trial %d %s: errs %v vs %v", mode, trial, metric.Name(), err1, err2)
-						}
-						if err1 == nil && !reflect.DeepEqual(want, got) {
-							t.Fatalf("mode %v trial %d step %d %s: retained sweep diverged from fresh",
-								mode, trial, step, metric.Name())
-						}
-					}
-				}
-				i := rng.Intn(len(cur))
-				cur[i] += rtime.Time(1 + rng.Intn(10))
-			}
-		}
-	}
-}
-
 // Assignments produced through a workspace must not alias its memory:
 // mutating every workspace array after the build must leave the
 // assignment untouched.
@@ -171,9 +71,6 @@ func TestWorkspaceOutputDoesNotAlias(t *testing.T) {
 	// Scribble over every workspace slice.
 	for i := range ws.ea {
 		ws.ea[i], ws.ld[i] = -7, -7
-	}
-	for i := range ws.vc {
-		ws.vc[i] = -7
 	}
 	for i := range ws.bnd {
 		ws.bnd[i] = -7

@@ -31,18 +31,14 @@ func outcome(v Verdict) pipeline.VerifyOutcome {
 // a different dispatcher or a serialized-bus replay and its Accepted
 // no longer applies; the serving layer gates on the dispatcher name.
 func AnalyticVerifier() pipeline.Verifier {
-	run := func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule) (pipeline.VerifyOutcome, error) {
-		res, err := Analyze(g, p, asg)
-		if err != nil {
-			return pipeline.VerifyInconclusive, nil
-		}
-		return outcome(res.Verdict), nil
-	}
 	return pipeline.Verifier{
 		Name: "analytic",
-		Run:  run,
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
-			return run(g, p, asg, s)
+		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
+			res, err := Analyze(g, p, asg)
+			if err != nil {
+				return pipeline.VerifyInconclusive, nil
+			}
+			return outcome(res.Verdict), nil
 		},
 	}
 }
@@ -53,14 +49,10 @@ func AnalyticVerifier() pipeline.Verifier {
 // schedule either replays validly with every deadline met (Accepted) or
 // it does not (Rejected).
 func ReplayVerifier() pipeline.Verifier {
-	run := func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule) (pipeline.VerifyOutcome, error) {
-		return replayOutcome(g, p, asg, s), nil
-	}
 	return pipeline.Verifier{
 		Name: "replay",
-		Run:  run,
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
-			return run(g, p, asg, s)
+		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
+			return replayOutcome(g, p, asg, s), nil
 		},
 	}
 }
@@ -82,17 +74,13 @@ func replayOutcome(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment
 // verify-before-dispatch fast path: workloads the analysis can decide
 // cost O(iterations), the rest keep the replay's exact answer.
 func AnalyticFirstVerifier() pipeline.Verifier {
-	run := func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule) (pipeline.VerifyOutcome, error) {
-		if res, err := Analyze(g, p, asg); err == nil && res.Verdict != Inconclusive {
-			return outcome(res.Verdict), nil
-		}
-		return replayOutcome(g, p, asg, s), nil
-	}
 	return pipeline.Verifier{
 		Name: "analytic-first",
-		Run:  run,
-		RunScratch: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
-			return run(g, p, asg, s)
+		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
+			if res, err := Analyze(g, p, asg); err == nil && res.Verdict != Inconclusive {
+				return outcome(res.Verdict), nil
+			}
+			return replayOutcome(g, p, asg, s), nil
 		},
 	}
 }
