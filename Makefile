@@ -50,9 +50,10 @@ recovery-smoke:
 
 # Overload smoke: three peers driven far past their sustainable rate
 # with fresh workloads. Mandatory availability must hold at 99% with
-# zero outright failures, the brownout ladder must visibly serve
-# degraded plans during the storm, and every peer must walk back to
-# full quality once it passes.
+# zero outright failures, every peer's criticality rung must engage and
+# shed optional work, the brownout ladder must visibly serve degraded
+# plans during the storm, and every peer must walk back to full quality
+# once it passes.
 overload-smoke:
 	sh scripts/overload-smoke.sh
 

@@ -29,18 +29,17 @@
 // and -self names this one. Each node then routes a request to its
 // workload fingerprint's ring owner through the retry/hedge/breaker
 // client, probes its peers' /healthz, and routes around the dead ones.
-// Requests may carry X-Plan-Criticality: under queue pressure the
-// server sheds "optional" work before "mandatory".
 //
-// Overload: past criticality shedding, an adaptive admission
-// controller (-admit-target, -admit-window) watches queue delay and
-// thins admitted load when it stays over target, while a brownout
-// ladder (-brownout-cheap, -brownout-cache-only) first degrades cold
-// builds to a cheap configuration and then serves cached plans only,
-// instead of failing outright; every 200 carries its served quality in
-// X-Plan-Quality. POST /plan/batch (capped by -max-batch) plans many
-// workloads under the same shared admission budget and returns
-// per-item outcomes.
+// Overload: an adaptive admission controller (-admit-target,
+// -admit-window) watches queue delay. Requests may carry
+// X-Plan-Criticality; while queue delay is over target the server
+// sheds "optional" work before "mandatory" and thins admitted load,
+// while a brownout ladder (-brownout-cheap, -brownout-cache-only) first
+// degrades cold builds to a cheap configuration and then serves cached
+// plans only, instead of failing outright; every 200 carries its served
+// quality in X-Plan-Quality. POST /plan/batch (capped by -max-batch)
+// plans many workloads under the same shared admission budget and
+// returns per-item outcomes.
 //
 // -chaos loads a fault-injection scenario (internal/chaos JSON) and
 // wraps both the serving handler and the fleet client with it, for
@@ -103,7 +102,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	snapEvery := fs.Duration("snapshot-interval", 30*time.Second, "background cache snapshot interval")
 	warmFill := fs.Bool("warm-fill", false, "pull hot plans from ring neighbors (owner+standby replication) and push hinted handoffs; fleet mode only")
 	warmEvery := fs.Duration("warm-fill-interval", 2*time.Second, "warm-fill round interval")
-	admitTarget := fs.Duration("admit-target", 25*time.Millisecond, "queue-delay target for adaptive admission (negative disables the controller)")
+	admitTarget := fs.Duration("admit-target", 25*time.Millisecond, "queue-delay target for adaptive admission and optional-first shedding (negative disables both: static -queue admission only)")
 	admitWindow := fs.Duration("admit-window", 250*time.Millisecond, "adaptive-admission measurement window")
 	brownCheap := fs.Duration("brownout-cheap", 0, "queue delay that engages cheap builds (0 = 2x admit-target)")
 	brownCacheOnly := fs.Duration("brownout-cache-only", 0, "queue delay that engages cache-only serving (0 = 8x admit-target)")

@@ -464,14 +464,14 @@ func (c *Client) Snap() Snapshot {
 }
 
 // WriteMetrics renders the client counters and per-peer breaker state
-// in the Prometheus text format, with every metric name prefixed (the
-// serving layer uses "pland", cmd/loadgen uses "loadgen").
-func (c *Client) WriteMetrics(w io.Writer, prefix string) {
+// in the Prometheus text format, as the pland_client_* and pland_peer_*
+// families of the serving layer's /metrics.
+func (c *Client) WriteMetrics(w io.Writer) {
 	s := c.Snap()
 	emit := func(name, kind, help string, rows ...string) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n", prefix, name, help, prefix, name, kind)
+		fmt.Fprintf(w, "# HELP pland_%s %s\n# TYPE pland_%s %s\n", name, help, name, kind)
 		for _, r := range rows {
-			fmt.Fprintf(w, "%s_%s%s\n", prefix, name, r)
+			fmt.Fprintf(w, "pland_%s%s\n", name, r)
 		}
 	}
 	emit("client_attempts_total", "counter", "Peer requests launched (first tries, retries, hedges).",

@@ -451,7 +451,7 @@ func TestClientMetricsRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	c.WriteMetrics(&sb, "pland")
+	c.WriteMetrics(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		"pland_client_attempts_total 1",

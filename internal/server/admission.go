@@ -26,6 +26,8 @@ import (
 //     an over-target window also engages Optional-only shedding
 //     (hysteretically, released at half target), so the optional tier
 //     absorbs the first cut before any mandatory request is refused.
+//     This rung is the server's only optional-first policy; MaxQueue
+//     stays the hard bound for every tier.
 //   - a brownout ladder for the work that is admitted: as the worst
 //     sojourn crosses configurable rungs, cold builds step down to
 //     progressively cheaper pipeline configurations — full plan →
@@ -70,75 +72,33 @@ func (l brownoutLevel) String() string {
 	return "?"
 }
 
-// admitOptions are the controller tunables; zero fields take the
-// documented defaults (withDefaults).
-type admitOptions struct {
-	// Target is the queue-delay (sojourn) target; windows whose worst
-	// sojourn exceeds it count as overloaded. 0 means 25ms; negative
-	// disables the controller entirely (admitController becomes a
-	// pass-through).
-	Target time.Duration
-	// Window is the control window length. 0 means 250ms.
-	Window time.Duration
-	// CheapAt and CacheOnlyAt are the brownout rungs: worst window
-	// sojourn at or above them demotes cold builds to the cheap
-	// configuration / to cache-only serving. 0 means 2× and 8× Target;
-	// negative disables the rung.
-	CheapAt     time.Duration
-	CacheOnlyAt time.Duration
-	// PromoteAfter is how many consecutive windows below a rung's
-	// release threshold (half the rung) re-promote one level. 0 means 3.
-	PromoteAfter int
-	// Decrease is the multiplicative admit-fraction cut per overloaded
-	// window; 0 means 0.7. Increase is the additive recovery per clean
-	// window; 0 means 0.05. MinFrac floors the fraction so the
-	// controller always lets a trickle through to keep measuring; 0
-	// means 0.05.
-	Decrease, Increase, MinFrac float64
-	// Seed seeds the admit coin. 0 means 1.
-	Seed int64
-}
-
-func (o admitOptions) withDefaults() admitOptions {
-	if o.Target == 0 {
-		o.Target = 25 * time.Millisecond
-	}
-	if o.Window <= 0 {
-		o.Window = 250 * time.Millisecond
-	}
-	if o.CheapAt == 0 {
-		o.CheapAt = 2 * o.Target
-	}
-	if o.CacheOnlyAt == 0 {
-		o.CacheOnlyAt = 8 * o.Target
-	}
-	if o.PromoteAfter <= 0 {
-		o.PromoteAfter = 3
-	}
-	if o.Decrease <= 0 || o.Decrease >= 1 {
-		o.Decrease = 0.7
-	}
-	if o.Increase <= 0 {
-		o.Increase = 0.05
-	}
-	if o.MinFrac <= 0 {
-		o.MinFrac = 0.05
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// Control-law constants. Nothing tunes them per deployment; the
+// thresholds that do depend on the workload (target, window, rungs) are
+// Options fields.
+const (
+	// admitDecrease is the multiplicative admit-fraction cut per
+	// overloaded window, admitIncrease the additive recovery per clean
+	// one. admitMinFrac floors the fraction so the controller always
+	// lets a trickle through to keep measuring.
+	admitDecrease = 0.7
+	admitIncrease = 0.05
+	admitMinFrac  = 0.05
+	// promoteAfter is how many consecutive windows below a rung's
+	// release threshold (half the rung) re-promote one brownout level.
+	promoteAfter = 3
+)
 
 // admitController is the queue-delay admission controller plus the
 // brownout ladder state. Safe for concurrent use.
 type admitController struct {
-	opt admitOptions
+	// opt is the server's resolved Options; the controller reads
+	// AdmitTarget, AdmitWindow, BrownoutCheapAt and BrownoutCacheOnlyAt.
+	opt Options
 	now func() time.Time
 
 	mu sync.Mutex
 	// frac is the current admitted fraction of offered load, in
-	// [MinFrac, 1].
+	// [admitMinFrac, 1].
 	frac float64
 	// worst is the worst sojourn observed in the current window;
 	// lastWorst is the previous window's, exported as the delay gauge.
@@ -154,23 +114,23 @@ type admitController struct {
 	rnd          *rand.Rand
 
 	// transitions counts ladder moves (both directions), for the
-	// flappiness metric.
-	transitions int64
+	// flappiness metric; shedEngaged counts the first rung's entries.
+	transitions, shedEngaged int64
 }
 
-// newAdmitController builds a controller on the real clock.
-func newAdmitController(opt admitOptions) *admitController {
-	opt = opt.withDefaults()
+// newAdmitController builds a controller on the real clock from
+// resolved Options (see Options.withDefaults).
+func newAdmitController(opt Options) *admitController {
 	return &admitController{
 		opt:  opt,
 		now:  time.Now,
 		frac: 1,
-		rnd:  rand.New(rand.NewSource(opt.Seed)),
+		rnd:  rand.New(rand.NewSource(randSeed)),
 	}
 }
 
 // disabled reports whether the controller is a pass-through.
-func (a *admitController) disabled() bool { return a.opt.Target < 0 }
+func (a *admitController) disabled() bool { return a.opt.AdmitTarget < 0 }
 
 // observe feeds one queue-sojourn measurement: the time a request
 // spent waiting for a planning slot, whether or not it got one (a
@@ -226,16 +186,26 @@ func (a *admitController) currentLevel() brownoutLevel {
 	return a.level
 }
 
-// snapshot returns (admit fraction, last closed window's worst sojourn,
-// level, ladder transitions) for /metrics.
-func (a *admitController) snapshot() (frac float64, delay time.Duration, level brownoutLevel, transitions int64) {
+// admitState is the controller's state at one instant, for /metrics.
+type admitState struct {
+	frac        float64       // admitted fraction of offered load
+	delay       time.Duration // last closed window's worst sojourn
+	level       brownoutLevel // brownout rung
+	transitions int64         // brownout ladder moves, both directions
+	shedding    bool          // the criticality first rung is engaged
+	shedEngaged int64         // entries into the criticality first rung
+}
+
+// snapshot returns the controller's current state.
+func (a *admitController) snapshot() admitState {
 	if a.disabled() {
-		return 1, 0, brownoutOff, 0
+		return admitState{frac: 1}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(a.now())
-	return a.frac, a.lastWorst, a.level, a.transitions
+	return admitState{frac: a.frac, delay: a.lastWorst, level: a.level,
+		transitions: a.transitions, shedding: a.shedOptional, shedEngaged: a.shedEngaged}
 }
 
 // roll closes every window boundary the clock has passed. Called with
@@ -246,20 +216,20 @@ func (a *admitController) snapshot() (frac float64, delay time.Duration, level b
 // traffic had flowed.
 func (a *admitController) roll(now time.Time) {
 	if a.windowEnd.IsZero() {
-		a.windowEnd = now.Add(a.opt.Window)
+		a.windowEnd = now.Add(a.opt.AdmitWindow)
 		return
 	}
 	for !now.Before(a.windowEnd) {
 		a.closeWindow()
-		a.windowEnd = a.windowEnd.Add(a.opt.Window)
+		a.windowEnd = a.windowEnd.Add(a.opt.AdmitWindow)
 		// After a long idle gap, don't replay thousands of empty
 		// windows one by one.
 		if gap := now.Sub(a.windowEnd); gap > 0 {
-			if skip := gap / a.opt.Window; skip > time.Duration(2*a.opt.PromoteAfter) {
-				for i := 0; i < 2*a.opt.PromoteAfter; i++ {
+			if skip := gap / a.opt.AdmitWindow; skip > 2*promoteAfter {
+				for i := 0; i < 2*promoteAfter; i++ {
 					a.closeWindow()
 				}
-				a.windowEnd = now.Add(a.opt.Window)
+				a.windowEnd = now.Add(a.opt.AdmitWindow)
 				return
 			}
 		}
@@ -273,25 +243,28 @@ func (a *admitController) closeWindow() {
 	a.lastWorst = w
 
 	// AIMD on the admit fraction.
-	if w > a.opt.Target {
-		a.frac = math.Max(a.opt.MinFrac, a.frac*a.opt.Decrease)
+	if w > a.opt.AdmitTarget {
+		a.frac = math.Max(admitMinFrac, a.frac*admitDecrease)
 	} else {
-		a.frac = math.Min(1, a.frac+a.opt.Increase)
+		a.frac = math.Min(1, a.frac+admitIncrease)
 	}
 
 	// Criticality first rung, with a half-target hysteresis band.
-	if w > a.opt.Target {
+	if w > a.opt.AdmitTarget {
+		if !a.shedOptional {
+			a.shedEngaged++
+		}
 		a.shedOptional = true
-	} else if w <= a.opt.Target/2 {
+	} else if w <= a.opt.AdmitTarget/2 {
 		a.shedOptional = false
 	}
 
 	// Brownout ladder: demote immediately, promote on a clean streak.
 	want := brownoutOff
 	switch {
-	case a.opt.CacheOnlyAt > 0 && w >= a.opt.CacheOnlyAt:
+	case a.opt.BrownoutCacheOnlyAt > 0 && w >= a.opt.BrownoutCacheOnlyAt:
 		want = brownoutCacheOnly
-	case a.opt.CheapAt > 0 && w >= a.opt.CheapAt:
+	case a.opt.BrownoutCheapAt > 0 && w >= a.opt.BrownoutCheapAt:
 		want = brownoutCheap
 	}
 	switch {
@@ -301,7 +274,7 @@ func (a *admitController) closeWindow() {
 		a.transitions++
 	case a.level > brownoutOff && a.releasesLevel(w):
 		a.clean++
-		if a.clean >= a.opt.PromoteAfter {
+		if a.clean >= promoteAfter {
 			a.level--
 			a.clean = 0
 			a.transitions++
@@ -317,9 +290,9 @@ func (a *admitController) closeWindow() {
 func (a *admitController) releasesLevel(w time.Duration) bool {
 	switch a.level {
 	case brownoutCacheOnly:
-		return a.opt.CacheOnlyAt > 0 && w < a.opt.CacheOnlyAt/2
+		return a.opt.BrownoutCacheOnlyAt > 0 && w < a.opt.BrownoutCacheOnlyAt/2
 	case brownoutCheap:
-		return a.opt.CheapAt > 0 && w < a.opt.CheapAt/2
+		return a.opt.BrownoutCheapAt > 0 && w < a.opt.BrownoutCheapAt/2
 	}
 	return false
 }

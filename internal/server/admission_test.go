@@ -6,8 +6,8 @@ import (
 )
 
 // testAdmit builds a controller on a manually-advanced clock.
-func testAdmit(opt admitOptions) (*admitController, *time.Time) {
-	a := newAdmitController(opt)
+func testAdmit(opt Options) (*admitController, *time.Time) {
+	a := newAdmitController(opt.withDefaults())
 	clock := time.Unix(1000, 0)
 	a.now = func() time.Time { return clock }
 	return a, &clock
@@ -17,14 +17,14 @@ func testAdmit(opt admitOptions) (*admitController, *time.Time) {
 // observation, so the window closes with that observation as its worst.
 func closeWith(a *admitController, clock *time.Time, worst time.Duration) {
 	a.observe(worst)
-	*clock = clock.Add(a.opt.Window)
+	*clock = clock.Add(a.opt.AdmitWindow)
 	// Any accessor rolls the window.
 	a.currentLevel()
 }
 
 func TestAdmitFractionAIMD(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
-	if f, _, _, _ := a.snapshot(); f != 1 {
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
+	if f := a.snapshot().frac; f != 1 {
 		t.Fatalf("initial frac = %v, want 1", f)
 	}
 
@@ -32,7 +32,8 @@ func TestAdmitFractionAIMD(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		closeWith(a, clock, 50*time.Millisecond)
 	}
-	f, delay, _, _ := a.snapshot()
+	st := a.snapshot()
+	f, delay := st.frac, st.delay
 	want := 0.7 * 0.7 * 0.7
 	if f < want-1e-9 || f > want+1e-9 {
 		t.Fatalf("frac after 3 bad windows = %v, want %v", f, want)
@@ -45,18 +46,18 @@ func TestAdmitFractionAIMD(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		closeWith(a, clock, 0)
 	}
-	if f, _, _, _ := a.snapshot(); f != 1 {
+	if f := a.snapshot().frac; f != 1 {
 		t.Fatalf("frac after recovery = %v, want 1", f)
 	}
 }
 
 func TestAdmitFractionFloor(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
 	for i := 0; i < 100; i++ {
 		closeWith(a, clock, time.Second)
 	}
-	if f, _, _, _ := a.snapshot(); f != a.opt.MinFrac {
-		t.Fatalf("frac = %v, want floor %v", f, a.opt.MinFrac)
+	if f := a.snapshot().frac; f != admitMinFrac {
+		t.Fatalf("frac = %v, want floor %v", f, admitMinFrac)
 	}
 	// Even at the floor a trickle passes: over many coins, some admit.
 	admitted := 0
@@ -66,12 +67,12 @@ func TestAdmitFractionFloor(t *testing.T) {
 		}
 	}
 	if admitted == 0 || admitted == 1000 {
-		t.Fatalf("admitted %d/1000 at floor frac %v, want a nonzero minority", admitted, a.opt.MinFrac)
+		t.Fatalf("admitted %d/1000 at floor frac %v, want a nonzero minority", admitted, admitMinFrac)
 	}
 }
 
 func TestAdmitProbabilistic(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
 	// One bad window: frac = 0.7. Roughly 70% of coins admit.
 	closeWith(a, clock, 50*time.Millisecond)
 	admitted := 0
@@ -86,7 +87,7 @@ func TestAdmitProbabilistic(t *testing.T) {
 }
 
 func TestOptionalSheddingHysteresis(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
 	if a.sheddingOptional() {
 		t.Fatal("shedding engaged at rest")
 	}
@@ -104,10 +105,16 @@ func TestOptionalSheddingHysteresis(t *testing.T) {
 	if a.sheddingOptional() {
 		t.Fatal("shedding not released below half target")
 	}
+	// Each entry counts once, however many over-target windows it spans.
+	closeWith(a, clock, 20*time.Millisecond)
+	closeWith(a, clock, 20*time.Millisecond)
+	if st := a.snapshot(); !st.shedding || st.shedEngaged != 2 {
+		t.Fatalf("shedding %v, entries %d; want true, 2", st.shedding, st.shedEngaged)
+	}
 }
 
 func TestBrownoutLadder(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
 	// Defaults: cheap at 20ms, cache-only at 80ms, promote after 3.
 	if a.currentLevel() != brownoutOff {
 		t.Fatal("ladder engaged at rest")
@@ -143,14 +150,13 @@ func TestBrownoutLadder(t *testing.T) {
 		t.Fatalf("level = %v, want off after full clean streak", l)
 	}
 
-	_, _, _, transitions := a.snapshot()
-	if transitions != 3 { // off→cache-only, →cheap, →off
+	if transitions := a.snapshot().transitions; transitions != 3 { // off→cache-only, →cheap, →off
 		t.Fatalf("transitions = %d, want 3", transitions)
 	}
 }
 
 func TestBrownoutHoveringDoesNotFlap(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
 	// Hover right around the cheap rung (20ms): alternate 25ms / 15ms.
 	closeWith(a, clock, 25*time.Millisecond)
 	for i := 0; i < 20; i++ {
@@ -160,14 +166,13 @@ func TestBrownoutHoveringDoesNotFlap(t *testing.T) {
 	if l := a.currentLevel(); l != brownoutCheap {
 		t.Fatalf("level = %v, want cheap throughout hover", l)
 	}
-	_, _, _, transitions := a.snapshot()
-	if transitions != 1 {
+	if transitions := a.snapshot().transitions; transitions != 1 {
 		t.Fatalf("transitions while hovering = %d, want 1", transitions)
 	}
 }
 
 func TestAdmitIdleDecaysToCalm(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
 	for i := 0; i < 10; i++ {
 		closeWith(a, clock, time.Second)
 	}
@@ -183,8 +188,8 @@ func TestAdmitIdleDecaysToCalm(t *testing.T) {
 	if a.sheddingOptional() {
 		t.Fatal("optional shedding survived idle gap")
 	}
-	if f, _, _, _ := a.snapshot(); f >= 1 {
-		// frac recovers additively; after 2*PromoteAfter skipped windows
+	if f := a.snapshot().frac; f >= 1 {
+		// frac recovers additively; after 2*promoteAfter skipped windows
 		// it may not be back to 1 — but it must be rising, and another
 		// idle gap finishes the job.
 		*clock = clock.Add(2 * time.Hour)
@@ -192,15 +197,15 @@ func TestAdmitIdleDecaysToCalm(t *testing.T) {
 }
 
 func TestAdmitDisabled(t *testing.T) {
-	a, clock := testAdmit(admitOptions{Target: -1})
+	a, clock := testAdmit(Options{AdmitTarget: -1})
 	for i := 0; i < 10; i++ {
 		closeWith(a, clock, time.Hour)
 	}
 	if !a.admit() || a.sheddingOptional() || a.currentLevel() != brownoutOff {
 		t.Fatal("disabled controller acted on observations")
 	}
-	if f, d, l, tr := a.snapshot(); f != 1 || d != 0 || l != brownoutOff || tr != 0 {
-		t.Fatalf("disabled snapshot = %v %v %v %v, want 1 0 off 0", f, d, l, tr)
+	if st := a.snapshot(); st != (admitState{frac: 1}) {
+		t.Fatalf("disabled snapshot = %+v, want frac 1, all else zero", st)
 	}
 }
 
@@ -208,9 +213,9 @@ func TestAdmitObserveOnFailedWait(t *testing.T) {
 	// The signal must count even when the request never got a slot:
 	// observe() is outcome-agnostic by construction; pin that a single
 	// observation over target flips the next window.
-	a, clock := testAdmit(admitOptions{Target: 10 * time.Millisecond})
+	a, clock := testAdmit(Options{AdmitTarget: 10 * time.Millisecond})
 	a.observe(500 * time.Millisecond) // e.g. context died while queued
-	*clock = clock.Add(a.opt.Window)
+	*clock = clock.Add(a.opt.AdmitWindow)
 	if !a.sheddingOptional() {
 		t.Fatal("failed-wait observation did not register")
 	}

@@ -9,36 +9,47 @@ import (
 	"repro/internal/slicing"
 )
 
-// forceBrownout drives srv's admission controller to the wanted rung by
-// feeding one synthetic over-rung window on a frozen clock, then pins
-// the admit fraction back to 1 so only the ladder — not the AIMD coin —
-// shapes the requests under test. The frozen clock keeps further
-// windows from closing, so the rung holds for the rest of the test.
-func forceBrownout(srv *Server, level brownoutLevel) {
+// feedWindow closes one admission window of srv whose worst queue
+// sojourn is worst, then freezes the controller's clock so no further
+// window closes: the rungs that window sets hold until the next
+// feedWindow. The admit fraction is pinned back to 1, so only the rungs,
+// not the AIMD coin, shape the requests under test.
+func feedWindow(srv *Server, worst time.Duration) {
+	a := srv.adm
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	// Start ahead of any window already open — real-clock ones from
-	// earlier requests, or a previous forceBrownout's frozen one — so
-	// this clock can close windows.
+	// earlier requests, or a previous feedWindow's frozen one — so this
+	// clock can close windows.
 	clock := time.Now().Add(time.Hour)
-	srv.adm.mu.Lock()
-	if srv.adm.windowEnd.After(clock) {
-		clock = srv.adm.windowEnd
+	if a.windowEnd.After(clock) {
+		clock = a.windowEnd
 	}
-	srv.adm.mu.Unlock()
-	srv.adm.now = func() time.Time { return clock }
+	a.roll(clock)
+	a.worst = max(a.worst, worst)
+	clock = clock.Add(a.opt.AdmitWindow)
+	a.roll(clock)
+	a.now = func() time.Time { return clock }
+	a.frac = 1
+}
+
+// forceBrownout drives srv's admission controller to the wanted rung
+// with one over-rung window (feedWindow) and releases the criticality
+// rung that window also engaged, so only the brownout ladder shapes the
+// requests under test.
+func forceBrownout(srv *Server, level brownoutLevel) {
 	var worst time.Duration
 	switch level {
 	case brownoutCheap:
-		worst = srv.adm.opt.CheapAt
+		worst = srv.opt.BrownoutCheapAt
 	case brownoutCacheOnly:
-		worst = srv.adm.opt.CacheOnlyAt
+		worst = srv.opt.BrownoutCacheOnlyAt
 	}
-	srv.adm.observe(worst)
-	clock = clock.Add(srv.adm.opt.Window)
+	feedWindow(srv, worst)
 	if got := srv.adm.currentLevel(); got != level {
 		panic("forceBrownout: level " + got.String() + ", want " + level.String())
 	}
 	srv.adm.mu.Lock()
-	srv.adm.frac = 1
 	srv.adm.shedOptional = false
 	srv.adm.mu.Unlock()
 }
@@ -194,14 +205,14 @@ func TestBrownoutRecovers(t *testing.T) {
 
 	clock := time.Now().Add(time.Hour)
 	srv.adm.now = func() time.Time { return clock }
-	srv.adm.observe(srv.adm.opt.CacheOnlyAt)
-	clock = clock.Add(srv.adm.opt.Window)
+	srv.adm.observe(srv.opt.BrownoutCacheOnlyAt)
+	clock = clock.Add(srv.opt.AdmitWindow)
 	if srv.adm.currentLevel() != brownoutCacheOnly {
 		t.Fatal("setup: not at cache-only")
 	}
-	// 2 × PromoteAfter clean windows: back to full.
-	for i := 0; i < 2*srv.adm.opt.PromoteAfter; i++ {
-		clock = clock.Add(srv.adm.opt.Window)
+	// 2 × promoteAfter clean windows: back to full.
+	for i := 0; i < 2*promoteAfter; i++ {
+		clock = clock.Add(srv.opt.AdmitWindow)
 	}
 	if l := srv.adm.currentLevel(); l != brownoutOff {
 		t.Fatalf("level = %v after clean streaks, want off", l)

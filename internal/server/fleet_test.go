@@ -50,18 +50,23 @@ func TestCriticalityHeader(t *testing.T) {
 	}
 }
 
-// TestShedHysteresis drives the overload ladder end to end: queue depth
-// crossing the high-water mark sheds Optional requests while Mandatory
-// ones keep their queue seats, and once the queue drains below the
-// low-water mark the optional tier is re-admitted.
+// TestShedHysteresis drives the criticality rung end to end: an
+// admission window whose worst queue delay is over target sheds
+// Optional requests while Mandatory ones keep their queue seats,
+// /metrics reports the engaged rung, and after a window at or below
+// half the target the optional tier is re-admitted.
 func TestShedHysteresis(t *testing.T) {
-	srv := New(Options{MaxInFlight: 1, MaxQueue: 4, ShedHighFrac: 0.5, ShedLowFrac: 0.25})
+	srv := New(Options{MaxInFlight: 1})
 	srv.holdBuild = make(chan struct{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// LIFO: a failed check must still release the held requests before
+	// ts.Close waits on their handlers.
+	release := sync.OnceFunc(func() { close(srv.holdBuild) })
+	defer release()
 	body := workloadBody(t, 21)
 
-	done := make(chan error, 3)
+	done := make(chan error, 2)
 	post := func(crit string) {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/plan", bytes.NewReader(body))
 		if crit != "" {
@@ -77,22 +82,34 @@ func TestShedHysteresis(t *testing.T) {
 		}
 		done <- err
 	}
-	// One request holds the slot; two more fill the queue to the
-	// high-water mark (0.5 × 4 = 2).
-	go post("")
-	go post("mandatory")
-	go post("mandatory")
-	waitGauge(t, ts, "pland_queue_depth", 2)
-
-	// Optional work is now shed up front with the pressure-derived hint.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/plan", bytes.NewReader(body))
-	req.Header.Set(criticalityHeader, "optional")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	postOptional := func() *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/plan", bytes.NewReader(body))
+		req.Header.Set(criticalityHeader, "optional")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+
+	// One request holds the slot.
+	go post("")
+	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.slots) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the first request never took the planning slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// An over-target window (below the cheap brownout rung) engages the
+	// rung: Optional work is shed up front with the pressure-derived
+	// hint.
+	feedWindow(srv, srv.opt.AdmitTarget*3/2)
+	resp := postOptional()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("optional under pressure: status %d, want 429", resp.StatusCode)
 	}
@@ -103,44 +120,44 @@ func TestShedHysteresis(t *testing.T) {
 	if got := metricValue(t, text, "pland_shedding"); got != 1 {
 		t.Fatalf("pland_shedding = %g, want 1", got)
 	}
+	if got := metricValue(t, text, "pland_shed_engaged_total"); got != 1 {
+		t.Fatalf("pland_shed_engaged_total = %g, want 1", got)
+	}
 	if got := metricValue(t, text, `pland_shed_total{criticality="optional"}`); got != 1 {
 		t.Fatalf("optional shed = %g, want 1", got)
 	}
 
 	// Mandatory work still gets a queue seat while shedding.
 	go post("mandatory")
-	waitGauge(t, ts, "pland_queue_depth", 3)
+	waitGauge(t, ts, "pland_queue_depth", 1)
 
-	// Drain the queue; depth 0 ≤ low-water releases the ladder, and the
-	// optional tier is admitted again.
-	close(srv.holdBuild)
-	for i := 0; i < 4; i++ {
+	// A window at or below half the target releases the rung; once the
+	// held requests finish, the optional tier is admitted again.
+	feedWindow(srv, srv.opt.AdmitTarget/2)
+	release()
+	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatalf("held request %d failed: %v", i, err)
 		}
 	}
-	req2, _ := http.NewRequest(http.MethodPost, ts.URL+"/plan", bytes.NewReader(body))
-	req2.Header.Set(criticalityHeader, "optional")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
+	if resp := postOptional(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("optional after release: status %d, want 200", resp.StatusCode)
 	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("optional after drain: status %d, want 200", resp2.StatusCode)
+	text = scrape(t, ts)
+	if got := metricValue(t, text, "pland_shedding"); got != 0 {
+		t.Fatalf("pland_shedding = %g after release, want 0", got)
 	}
-	if got := metricValue(t, scrape(t, ts), "pland_shedding"); got != 0 {
-		t.Fatalf("pland_shedding = %g after drain, want 0", got)
+	if got := metricValue(t, text, "pland_shed_engaged_total"); got != 1 {
+		t.Fatalf("pland_shed_engaged_total = %g after release, want 1", got)
 	}
 }
 
 // TestRetryAfterJittered pins satellite behavior: the 429 hint scales
 // with queue pressure and is jittered, never the constant base. With
-// base 2s and a full queue the hint is 2s × 3 × [0.75, 1.25] → 5..8
-// whole seconds, far from the un-scaled constant 2.
+// the 1s base and a full queue the hint is 1s × 3 × [0.75, 1.25) →
+// 3..4 whole seconds, distinct from the un-scaled constant 1.
 func TestRetryAfterJittered(t *testing.T) {
-	srv := New(Options{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 2 * time.Second, ShedHighFrac: -1})
+	srv := New(Options{MaxInFlight: 1, MaxQueue: 1})
 	srv.holdBuild = make(chan struct{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -162,8 +179,8 @@ func TestRetryAfterJittered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Retry-After %q: %v", resp.Header.Get("Retry-After"), err)
 		}
-		if secs < 5 || secs > 8 {
-			t.Fatalf("Retry-After %ds outside the pressure-scaled jitter window [5, 8]", secs)
+		if secs < 3 || secs > 4 {
+			t.Fatalf("Retry-After %ds outside the pressure-scaled jitter window [3, 4]", secs)
 		}
 	}
 	if got := metricValue(t, scrape(t, ts), `pland_shed_total{criticality="mandatory"}`); got != 5 {

@@ -28,7 +28,7 @@ type row struct {
 // client library dependency.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sum := s.rec.Summary()
-	admitFrac, queueDelay, level, transitions := s.adm.snapshot()
+	adm := s.adm.snapshot()
 	stageSeconds := []row{
 		{`stage="estimate"`, sum.Estimate.Wall.Seconds()},
 		{`stage="slice"`, sum.Slice.Wall.Seconds()},
@@ -65,26 +65,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"pland_draining", "gauge", "1 while the server refuses new work.",
 			[]row{{"", boolGauge(s.draining.Load())}}},
 		{"pland_shedding", "gauge", "1 while the overload ladder sheds Optional requests.",
-			[]row{{"", boolGauge(s.shedding.Load())}}},
+			[]row{{"", boolGauge(adm.shedding)}}},
 		{"pland_shed_engaged_total", "counter", "Times the shed ladder engaged (mode entries).",
-			[]row{{"", float64(s.shedEngaged.Load())}}},
+			[]row{{"", float64(adm.shedEngaged)}}},
 		{"pland_shed_total", "counter", "Requests shed with 429, by criticality.",
 			[]row{
 				{`criticality="optional"`, float64(s.shedOptional.Load())},
 				{`criticality="mandatory"`, float64(s.shedMandatory.Load())},
 			}},
 		{"pland_admission_admit_fraction", "gauge", "Fraction of offered load the AIMD controller currently admits.",
-			[]row{{"", admitFrac}}},
+			[]row{{"", adm.frac}}},
 		{"pland_queue_delay_seconds", "gauge", "Worst queue sojourn of the last closed admission window.",
-			[]row{{"", queueDelay.Seconds()}}},
+			[]row{{"", adm.delay.Seconds()}}},
 		{"pland_admission_shed_total", "counter", "Requests shed by the AIMD admit coin.",
 			[]row{{"", float64(s.admitShed.Load())}}},
 		{"pland_verify_total", "counter", "Plans served with verification, by mode and verdict.",
 			s.verifyRows()},
 		{"pland_brownout_level", "gauge", "Brownout ladder rung (0 full, 1 cheap builds, 2 cache-only).",
-			[]row{{"", float64(level)}}},
+			[]row{{"", float64(adm.level)}}},
 		{"pland_brownout_transitions_total", "counter", "Brownout ladder moves in either direction.",
-			[]row{{"", float64(transitions)}}},
+			[]row{{"", float64(adm.transitions)}}},
 		{"pland_plans_total", "counter", "Plans served by quality.",
 			[]row{
 				{`quality="full"`, float64(s.plansFull.Load())},
@@ -158,7 +158,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if rt := s.opt.Router; rt != nil && rt.Client != nil {
-		rt.Client.WriteMetrics(&sb, "pland")
+		rt.Client.WriteMetrics(&sb)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

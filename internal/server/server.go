@@ -14,14 +14,15 @@
 //     jittered, so a thundering herd of rejected clients does not come
 //     back in one synchronized wave.
 //   - criticality-aware shedding: requests carry X-Plan-Criticality
-//     (mandatory, the default, or optional). When queue depth crosses
-//     the high-water mark the server enters shedding mode and rejects
-//     Optional requests up front, keeping the remaining admission
-//     capacity for Mandatory work; it leaves shedding mode when depth
-//     falls below the low-water mark. The hysteresis mirrors the
-//     mixed-criticality mode ladder in internal/degrade: degrade the
-//     optional tier first, re-admit it only once pressure is clearly
-//     gone.
+//     (mandatory, the default, or optional). When an admission window's
+//     worst queue delay exceeds AdmitTarget the server enters shedding
+//     mode and rejects Optional requests up front, keeping the
+//     remaining admission capacity for Mandatory work; it leaves
+//     shedding mode after a window at or below half the target. The
+//     hysteresis mirrors the mixed-criticality mode ladder in
+//     internal/degrade: degrade the optional tier first, re-admit it
+//     only once pressure is clearly gone. The same controller thins
+//     admitted load and drives the brownout ladder (admission.go).
 //   - routing: with a Router configured (a pland fleet), a request whose
 //     workload fingerprint is owned by another live peer is proxied
 //     there — each plan is built once fleet-wide — and planned locally
@@ -83,22 +84,13 @@ type Options struct {
 	MaxTimeout time.Duration
 	// CacheCapacity sizes the shared plan cache; 0 means 4096.
 	CacheCapacity int
-	// RetryAfter is the base of the hint attached to 429 responses; the
-	// actual hint scales with queue depth and is jittered. 0 means 1s.
-	RetryAfter time.Duration
 	// MaxBodyBytes bounds the request body; 0 means 16 MiB.
 	MaxBodyBytes int64
-	// ShedHighFrac is the queue-depth fraction (of MaxQueue) at which
-	// the server starts shedding Optional-criticality requests; 0 means
-	// 0.75. Negative disables criticality-aware shedding.
-	ShedHighFrac float64
-	// ShedLowFrac is the fraction below which shedding disengages; 0
-	// means 0.25.
-	ShedLowFrac float64
 	// AdmitTarget is the queue-delay (sojourn) target of the adaptive
 	// admission controller: windows whose worst queue wait exceeds it
-	// shrink the admitted fraction of offered load and climb the
-	// brownout ladder. 0 means 25ms; negative disables the controller
+	// shed Optional requests, shrink the admitted fraction of offered
+	// load and climb the brownout ladder. 0 means 25ms; negative
+	// disables the controller, and with it optional-first shedding
 	// (static MaxQueue admission only).
 	AdmitTarget time.Duration
 	// AdmitWindow is the controller's measurement window; 0 means 250ms.
@@ -111,9 +103,6 @@ type Options struct {
 	// entirely (cache/read-through or 503); 0 means 8×AdmitTarget,
 	// negative disables the rung.
 	BrownoutCacheOnlyAt time.Duration
-	// BrownoutPromoteAfter is how many consecutive clean windows
-	// re-promote one brownout rung; 0 means 3.
-	BrownoutPromoteAfter int
 	// MaxBatchItems bounds the items of one POST /plan/batch; 0 means
 	// 256.
 	MaxBatchItems int
@@ -125,8 +114,6 @@ type Options struct {
 	// Router, when non-nil, puts the server in fleet mode: requests
 	// owned by other live peers are proxied to them.
 	Router *Router
-	// Seed seeds the Retry-After jitter; 0 means 1.
-	Seed int64
 }
 
 func (o Options) withDefaults() Options {
@@ -148,29 +135,34 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity <= 0 {
 		o.CacheCapacity = 4096
 	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 16 << 20
 	}
-	if o.ShedHighFrac == 0 {
-		o.ShedHighFrac = 0.75
+	if o.AdmitTarget == 0 {
+		o.AdmitTarget = 25 * time.Millisecond
 	}
-	if o.ShedLowFrac <= 0 {
-		o.ShedLowFrac = 0.25
+	if o.AdmitWindow <= 0 {
+		o.AdmitWindow = 250 * time.Millisecond
 	}
-	if o.ShedLowFrac > o.ShedHighFrac {
-		o.ShedLowFrac = o.ShedHighFrac
+	if o.BrownoutCheapAt == 0 {
+		o.BrownoutCheapAt = 2 * o.AdmitTarget
+	}
+	if o.BrownoutCacheOnlyAt == 0 {
+		o.BrownoutCacheOnlyAt = 8 * o.AdmitTarget
 	}
 	if o.MaxBatchItems <= 0 {
 		o.MaxBatchItems = 256
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	return o
 }
+
+// retryAfterBase is the base of the hint attached to 429 responses; the
+// hint sent scales with queue depth and is jittered.
+const retryAfterBase = time.Second
+
+// randSeed seeds the Retry-After jitter and the admit coin, so their
+// draws repeat from run to run.
+const randSeed = 1
 
 // Server is the planning service state: the shared pipeline cache and
 // recorder, the admission machinery, and the request counters. Create
@@ -195,13 +187,9 @@ type Server struct {
 	expired   atomic.Int64 // 504 budget exceeded
 	refused   atomic.Int64 // 503 draining
 
-	// Criticality-aware overload shedding: shedding is the hysteretic
-	// mode bit (engaged at the high-water queue depth, released at the
-	// low-water one); the counters split 429s by the criticality shed.
-	shedding      atomic.Bool
-	shedEngaged   atomic.Int64 // mode entries, for observing flappiness
-	shedOptional  atomic.Int64 // optional requests shed by the ladder
-	shedMandatory atomic.Int64 // mandatory requests shed (queue truly full)
+	// 429s split by the criticality of the request shed.
+	shedOptional  atomic.Int64 // optional requests shed at any rung
+	shedMandatory atomic.Int64 // mandatory requests shed (coin or full queue)
 
 	// adm is the queue-delay admission controller and brownout ladder
 	// (see admission.go); the counters split its decisions.
@@ -264,15 +252,8 @@ func New(opt Options) *Server {
 		cache: pipeline.NewCache(opt.CacheCapacity),
 		rec:   pipeline.NewRecorder(false),
 		slots: make(chan struct{}, opt.MaxInFlight),
-		rnd:   rand.New(rand.NewSource(opt.Seed)),
-		adm: newAdmitController(admitOptions{
-			Target:       opt.AdmitTarget,
-			Window:       opt.AdmitWindow,
-			CheapAt:      opt.BrownoutCheapAt,
-			CacheOnlyAt:  opt.BrownoutCacheOnlyAt,
-			PromoteAfter: opt.BrownoutPromoteAfter,
-			Seed:         opt.Seed,
-		}),
+		rnd:   rand.New(rand.NewSource(randSeed)),
+		adm:   newAdmitController(opt),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/plan", s.handlePlan)
@@ -335,18 +316,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// fail answers a request the server refuses before planning it.
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	switch {
-	case code == http.StatusTooManyRequests:
-		s.throttled.Add(1)
-	case code == http.StatusServiceUnavailable:
-		s.refused.Add(1)
-	case code == http.StatusGatewayTimeout:
-		s.expired.Add(1)
-	default:
-		s.rejected.Add(1)
-	}
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+	s.writeOutcome(w, planOutcome{code: code, errMsg: fmt.Sprintf(format, args...)})
 }
 
 // admit takes a planning slot, waiting in the bounded queue if none is
@@ -445,37 +417,8 @@ func parseCriticality(h string) (taskgraph.Criticality, error) {
 	return 0, fmt.Errorf("bad %s %q (want mandatory or optional)", criticalityHeader, h)
 }
 
-// updateShedding advances the hysteretic shed ladder from the current
-// queue depth and reports whether Optional requests are being shed:
-// engage at ≥ ShedHighFrac·MaxQueue waiting requests, release at ≤
-// ShedLowFrac·MaxQueue. The gap between the marks is what keeps a
-// queue hovering near the threshold from flapping the mode bit on
-// every request, exactly like the degrade controller's clean-streak
-// hysteresis.
-func (s *Server) updateShedding() bool {
-	if s.opt.ShedHighFrac < 0 || s.opt.MaxQueue == 0 {
-		return false
-	}
-	depth := int(s.queued.Load())
-	high := int(math.Ceil(s.opt.ShedHighFrac * float64(s.opt.MaxQueue)))
-	if high < 1 {
-		high = 1
-	}
-	low := int(math.Floor(s.opt.ShedLowFrac * float64(s.opt.MaxQueue)))
-	if s.shedding.Load() {
-		if depth <= low {
-			s.shedding.Store(false)
-		}
-	} else if depth >= high {
-		if s.shedding.CompareAndSwap(false, true) {
-			s.shedEngaged.Add(1)
-		}
-	}
-	return s.shedding.Load()
-}
-
 // retryAfterSeconds derives the 429 hint from current pressure: the
-// configured base scaled by up to 3× as the queue fills, jittered
+// retryAfterBase scaled by up to 3× as the queue fills, jittered
 // ±25% so shed clients do not return in one synchronized wave, and
 // rounded up to whole seconds (the header's unit).
 func (s *Server) retryAfterSeconds() int {
@@ -486,7 +429,7 @@ func (s *Server) retryAfterSeconds() int {
 			fill = 1
 		}
 	}
-	d := float64(s.opt.RetryAfter) * (1 + 2*fill)
+	d := float64(retryAfterBase) * (1 + 2*fill)
 	s.rmu.Lock()
 	jitter := 0.75 + 0.5*s.rnd.Float64()
 	s.rmu.Unlock()
@@ -495,12 +438,6 @@ func (s *Server) retryAfterSeconds() int {
 		secs = 1
 	}
 	return secs
-}
-
-// reject429 sheds a request with the queue-pressure-derived hint.
-func (s *Server) reject429(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	s.fail(w, http.StatusTooManyRequests, format, args...)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -767,11 +704,10 @@ type planOutcome struct {
 // /plan/batch item, which is what makes a batch spend the same
 // admission budget as the equivalent stream of single requests.
 func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Criticality, g *taskgraph.Graph, p *arch.Platform) planOutcome {
-	// First rung: under pressure the optional tier is refused outright
-	// so the queue seat it would have taken stays available to
-	// mandatory work. Either pressure signal engages the rung — queue
-	// depth (the static ladder) or queue delay (the controller).
-	if (s.updateShedding() || s.adm.sheddingOptional()) && crit == taskgraph.Optional {
+	// First rung: while queue delay is over target the optional tier is
+	// refused outright, so the queue seat it would have taken stays
+	// available to mandatory work.
+	if crit == taskgraph.Optional && s.adm.sheddingOptional() {
 		s.shedOptional.Add(1)
 		return planOutcome{code: http.StatusTooManyRequests, retryAfter: true,
 			errMsg: "shedding optional work under overload"}

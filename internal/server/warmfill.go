@@ -232,53 +232,10 @@ func (s *Server) WarmFillOnce(ctx context.Context) int {
 	if rt == nil || rt.Client == nil {
 		return 0
 	}
-	pulled := 0
-	for _, peer := range rt.Ring.Peers() {
-		if peer.Name == rt.Self || !peer.Alive() {
-			continue
-		}
-		raw, err := rt.Client.FetchDigest(ctx, peer)
-		if err != nil {
-			s.warmErrors.Add(1)
-			continue
-		}
-		var dig digestResponse
-		if err := json.Unmarshal(raw, &dig); err != nil {
-			s.warmErrors.Add(1)
-			continue
-		}
-		for _, tok := range dig.Keys {
-			k, err := pipeline.DecodeKeyParam(tok)
-			if err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			if rank := s.replicaRank(k.Workload); rank < 0 || rank >= replicationFactor {
-				continue
-			}
-			if s.cache.Contains(k) {
-				continue
-			}
-			body, err := rt.Client.FetchFill(ctx, peer, tok)
-			if err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			var pj pipeline.PlanJSON
-			if err := json.Unmarshal(body, &pj); err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			plan, err := pipeline.DecodePlan(pj)
-			if err != nil {
-				s.warmErrors.Add(1)
-				continue
-			}
-			s.cache.Install(plan)
-			s.warmPulled.Add(1)
-			pulled++
-		}
-	}
+	pulled := s.pull(ctx, func(k pipeline.Key) bool {
+		rank := s.replicaRank(k.Workload)
+		return rank >= 0 && rank < replicationFactor
+	})
 	// Handoff pushes ride the same round: a blacked-out owner never
 	// probes down (/healthz is chaos-exempt), so its rise is invisible
 	// to NoteRisen — the periodic drain is what catches it.
@@ -327,6 +284,17 @@ func (s *Server) warmReadThrough(ctx context.Context, fp uint64) int {
 	s.readMu.Unlock()
 
 	s.warmReads.Add(1)
+	return s.pull(ctx, func(k pipeline.Key) bool { return k.Workload == fp })
+}
+
+// pull sweeps every other alive peer's digest and installs each plan
+// whose key want accepts and this peer does not hold. Every failed
+// round-trip, and every malformed digest token or plan (a peer fault),
+// counts in pland_warmfill_errors_total. Returns the number of plans
+// installed. The caller has checked that a Router with a Client is
+// configured.
+func (s *Server) pull(ctx context.Context, want func(pipeline.Key) bool) int {
+	rt := s.opt.Router
 	pulled := 0
 	for _, peer := range rt.Ring.Peers() {
 		if peer.Name == rt.Self || !peer.Alive() {
@@ -344,7 +312,11 @@ func (s *Server) warmReadThrough(ctx context.Context, fp uint64) int {
 		}
 		for _, tok := range dig.Keys {
 			k, err := pipeline.DecodeKeyParam(tok)
-			if err != nil || k.Workload != fp || s.cache.Contains(k) {
+			if err != nil {
+				s.warmErrors.Add(1)
+				continue
+			}
+			if !want(k) || s.cache.Contains(k) {
 				continue
 			}
 			body, err := rt.Client.FetchFill(ctx, peer, tok)

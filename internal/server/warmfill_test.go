@@ -454,6 +454,41 @@ func TestReadThroughFallback(t *testing.T) {
 	}
 }
 
+// TestPullCountsMalformedDigestToken: a digest token that does not
+// decode is a peer fault, counted in pland_warmfill_errors_total by the
+// warm-fill round and by a read-through sweep alike.
+func TestPullCountsMalformedDigestToken(t *testing.T) {
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, digestResponse{Peer: "p1", Keys: []string{"not a key token"}})
+	}))
+	defer bad.Close()
+	srv := New(Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	peers, err := cluster.ParsePeers("p0=" + ts.URL + ",p1=" + bad.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := cluster.NewRing(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.opt.Router = &Router{Ring: ring, Client: client.New(ring, warmCopt()), Self: "p0"}
+
+	if n := srv.WarmFillOnce(context.Background()); n != 0 {
+		t.Fatalf("warm fill pulled %d plans from a bad digest", n)
+	}
+	if got := metricValue(t, scrape(t, ts), "pland_warmfill_errors_total"); got != 1 {
+		t.Fatalf("errors after the warm-fill round = %g, want 1", got)
+	}
+	if n := srv.warmReadThrough(context.Background(), 42); n != 0 {
+		t.Fatalf("read-through pulled %d plans from a bad digest", n)
+	}
+	if got := metricValue(t, scrape(t, ts), "pland_warmfill_errors_total"); got != 2 {
+		t.Fatalf("errors after the read-through sweep = %g, want 2", got)
+	}
+}
+
 // TestHintedHandoff: a peer that served a key for an unreachable owner
 // records a hint and pushes the plan back on the owner's rise verdict;
 // hints are deduplicated and drained exactly once.

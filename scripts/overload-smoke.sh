@@ -5,8 +5,9 @@
 # sustainable rate. The contract under test is graceful degradation:
 # Mandatory availability holds >= 99% (a 429/503 with Retry-After is an
 # honest answer; a timeout or 5xx crash is not), no request fails
-# outright, the brownout ladder visibly engages (degraded-quality plans
-# are served), and once the storm passes every peer walks back to full
+# outright, every peer's criticality rung engages and sheds Optional
+# work, the brownout ladder visibly engages (degraded-quality plans are
+# served), and once the storm passes every peer walks back to full
 # quality on its own. Exits non-zero on the first broken contract.
 set -eu
 
@@ -75,6 +76,19 @@ failed=$(awk '/^[[:space:]]*"failed":/ {gsub(/[^0-9]/,""); s += $0} END {print s
 degraded=$(awk '/^[[:space:]]*"plansDegraded":/ {gsub(/[^0-9.]/,""); s += $0} END {print int(s)}' "$tmp/overload.json")
 [ "$degraded" -gt 0 ] || { cat "$tmp/overload.json" >&2; fail "no degraded plans served; brownout never engaged"; }
 
+# The criticality rung fired on every peer: its admission controller
+# entered optional-first shedding at least once (pland_shedding and
+# pland_shed_engaged_total report that rung) and shed Optional requests.
+rung=""
+for i in 0 1 2; do
+    m=$(curl -fsS "http://127.0.0.1:1838$i/metrics")
+    e=$(echo "$m" | awk '$1 == "pland_shed_engaged_total" {print $2}')
+    o=$(echo "$m" | awk '$1 == "pland_shed_total{criticality=\"optional\"}" {print $2}')
+    [ "${e:-0}" -ge 1 ] || fail "p$i never engaged optional-first shedding (pland_shed_engaged_total=${e:-missing})"
+    [ "${o:-0}" -ge 1 ] || fail "p$i shed no optional request (pland_shed_total{criticality=\"optional\"}=${o:-missing})"
+    rung="$rung p$i=$o/$e"
+done
+
 # Hysteretic recovery: with the storm over, every peer's ladder must
 # walk back to full service (pland_brownout_level 0) on its own.
 j=0
@@ -100,4 +114,4 @@ calm_degraded=$(awk '/^[[:space:]]*"degraded":/ {gsub(/[^0-9]/,""); s += $0} END
 [ "$calm_degraded" -eq 0 ] || fail "recovered fleet still served $calm_degraded degraded answers; want 0"
 
 shed=$(awk '/^[[:space:]]*"shed":/ {gsub(/[^0-9]/,""); s += $0} END {print s+0}' "$tmp/overload.json")
-echo "overload-smoke: ok (failed=0, shed=$shed, degraded plans=$degraded during the storm, 0 after recovery; brownout walked back to level 0 on all peers)"
+echo "overload-smoke: ok (failed=0, shed=$shed, optional shed/rung entries per peer:$rung, degraded plans=$degraded during the storm, 0 after recovery; brownout walked back to level 0 on all peers)"
