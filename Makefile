@@ -16,8 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench/ is a nested module that compiles against internal APIs;
+# the root ./... pattern skips it.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

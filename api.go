@@ -310,12 +310,12 @@ func CalibratedParams() Params { return slicing.CalibratedParams() }
 // Estimates computes the estimated WCET c̄ of every task under the given
 // strategy.
 func Estimates(g *Graph, p *Platform, s WCETStrategy) ([]Time, error) {
-	return pipeline.Estimate(g, p, s)
+	return wcet.Estimates(g, p, s)
 }
 
 // Distribute runs the slicing technique (Figure 1) over the graph.
 func Distribute(g *Graph, est []Time, m int, metric Metric, params Params) (*Assignment, error) {
-	return pipeline.Slice(g, est, m, metric, params)
+	return slicing.Distribute(g, est, m, metric, params)
 }
 
 // Dispatch schedules the assignment with the paper's non-preemptive
@@ -361,10 +361,32 @@ func DispatchWith(g *Graph, p *Platform, asg *Assignment, policy DispatchPolicy)
 }
 
 // DispatchActual simulates execution times below the worst-case bound:
-// task i runs for ceil(frac[i]·WCET) units. Early completions can both
-// rescue and — via the Graham anomaly — break a schedule.
+// task i runs for ceil(frac[i]·WCET) units (at least one) while the
+// dispatcher keeps deciding with WCET knowledge. Early completions can
+// both rescue and — via the Graham anomaly — break a schedule. The
+// result is the schedule sim.Inject executes under a trace whose only
+// deviation is ExecScale = frac; misses are judged against asg.
 func DispatchActual(g *Graph, p *Platform, asg *Assignment, frac []float64) (*Schedule, error) {
-	return sched.DispatchActual(g, p, asg, frac)
+	n := g.NumTasks()
+	if len(frac) != n {
+		return nil, fmt.Errorf("repro: %d fractions for %d tasks", len(frac), n)
+	}
+	for i, f := range frac {
+		if f <= 0 || f > 1 {
+			return nil, fmt.Errorf("repro: frac[%d] = %v outside (0, 1]", i, f)
+		}
+	}
+	nominal, err := sched.Dispatch(g, p, asg)
+	if err != nil {
+		return nil, err
+	}
+	tr := faults.ZeroTrace(n, p.M())
+	copy(tr.ExecScale, frac)
+	ir, err := sim.Inject(g, p, asg, nominal, sim.Options{Faults: tr})
+	if err != nil {
+		return nil, err
+	}
+	return ir.Executed, nil
 }
 
 // ExactSchedule runs the exact branch-and-bound search over active

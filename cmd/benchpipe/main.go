@@ -12,7 +12,8 @@
 //   - build/cached            the same spec through a warm plan cache
 //   - build/rebuild-estimates one re-slice correction round: Rebuild
 //     with a full corrected-estimate vector off the previous plan
-//   - build/rebuild-wcet      Rebuild with a single-task WCET bump
+//   - build/rebuild-wcet      Rebuild with a single-task WCET bump: an
+//     estimate vector that differs from the previous plan's in one task
 //   - build/rebuild-cheap     one brownout cheap build as pland makes
 //     it: a fresh NORM Replanner per op, rebuilding the 120-task full
 //     plan under an empty delta
@@ -233,14 +234,19 @@ func run(out, check string) error {
 			}
 		}
 	})
+	// Single-task WCET bumps, built before timing: iteration i bumps
+	// task i mod n by 1 + i mod 7.
 	n := w.Graph.NumTasks()
+	bumps := make([][]rtime.Time, 7*n)
+	for i := range bumps {
+		bumps[i] = append([]rtime.Time(nil), prev.Estimates...)
+		bumps[i][i%n] += rtime.Time(1 + i%7)
+	}
 	bench("build/rebuild-wcet", func(b *testing.B) {
 		rp := prevBuilder.NewReplanner()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			task := i % n
-			delta := pipeline.TaskEstimateDelta(task, prev.Estimates[task]+rtime.Time(1+i%7))
-			if _, _, err := rp.Rebuild(prev, delta); err != nil {
+			if _, _, err := rp.Rebuild(prev, pipeline.EstimatesDelta(bumps[i%len(bumps)])); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -111,11 +111,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		g, p = w.Graph, w.Platform
 	}
 
-	est, err := pipeline.Estimate(g, p, strat)
+	est, err := wcet.Estimates(g, p, strat)
 	if err != nil {
 		fatal(err)
 	}
-	asg, err := pipeline.Slice(g, est, p.M(), metric, slicing.CalibratedParams())
+	asg, err := slicing.Distribute(g, est, p.M(), metric, slicing.CalibratedParams())
 	if err != nil {
 		fatal(err)
 	}

@@ -277,16 +277,24 @@ func degradeRunOne(ctx context.Context, cfg DegradeConfig, idx int) (degradeOutc
 	})
 
 	rejected := false
-	fcfg := FaultConfig{
-		Gen: cfg.Gen, Metric: cfg.Metric, Params: cfg.Params, WCET: cfg.WCET,
-		NumGraphs: cfg.NumGraphs, MasterSeed: cfg.MasterSeed, Workers: cfg.Workers,
-		Reclaim: cfg.Reclaim, Pipe: cfg.Pipe,
-	}
 	for p, intensity := range cfg.Intensities {
-		// The uncontrolled baseline, via FaultRun's own per-workload
-		// path so the fold is byte-identical.
-		fcfg.Intensity = intensity
-		o.fault[p], o.faultErr[p] = faultRunOne(ctx, fcfg, idx)
+		plan := faults.Scaled(intensity, gen.SubSeed(cfg.MasterSeed+1, idx))
+		trace, err := plan.Materialize(w.Graph, w.Platform, span)
+		if err != nil {
+			return o, err
+		}
+
+		// The uncontrolled baseline: the level-0 plan (FaultRun's plan of
+		// this workload, since modes[0].Graph is w.Graph) under the same
+		// trace FaultRun draws for it.
+		if base := pipe(0); base.err != nil {
+			o.faultErr[p] = base.err
+		} else if ir, err := sim.Inject(w.Graph, w.Platform, base.plan.Assignment, base.plan.Schedule,
+			sim.Options{Faults: trace, Reclaim: cfg.Reclaim}); err != nil {
+			o.faultErr[p] = err
+		} else {
+			o.fault[p] = faultOutcome{deg: ir.Degradation, outputs: len(w.Graph.Outputs())}
+		}
 
 		if rejected {
 			o.rejected[p] = true
@@ -294,20 +302,14 @@ func degradeRunOne(ctx context.Context, cfg DegradeConfig, idx int) (degradeOutc
 			continue
 		}
 
-		plan := faults.Scaled(intensity, gen.SubSeed(cfg.MasterSeed+1, idx))
-		trace, err := plan.Materialize(w.Graph, w.Platform, span)
-		if err != nil {
-			return o, err
-		}
-
 		// Escalate until a frame is admitted or the ladder is exhausted.
 		for {
 			lv := ctl.Level()
 			var deg sim.Degradation
 			var frameErr error
-			if lv == 0 && o.faultErr[p] == nil {
+			if lv == 0 {
 				// The baseline already executed exactly this frame.
-				deg = o.fault[p].deg
+				deg, frameErr = o.fault[p].deg, o.faultErr[p]
 			} else {
 				pl := pipe(lv)
 				if pl.err != nil {

@@ -142,7 +142,9 @@ func Scaled(intensity float64, seed int64) Plan {
 // everything the injected execution needs, with no randomness left.
 type Trace struct {
 	// ExecScale[i] multiplies task i's execution time on whatever class
-	// it lands on (≥ 1; exactly 1 for non-overrunning tasks).
+	// it lands on: exactly 1 for a task that runs its nominal time,
+	// above 1 for an overrun. A scale below 1 models early completion,
+	// which the paper's reading of cᵢ as an upper bound (§3.2) allows.
 	ExecScale []float64
 	// ExecAdd[i] is extra absolute execution time for task i.
 	ExecAdd []rtime.Time

@@ -21,19 +21,19 @@
 // aliases into a Plan. Consumers that re-plan the same graph under
 // slightly changed inputs — the re-slice correction loop, the degrade
 // ladder, brownout cheap builds — use a Replanner
-// (Builder.NewReplanner) whose Rebuild applies a declared Delta
-// (estimates, single-task WCET, window overrides, or a full workload
-// swap) to a previous Plan. A rebuild is a build with the previous
-// plan's workload fingerprint and estimator output carried over (window
-// overrides also replay its assignment instead of slicing), and its
+// (Builder.NewReplanner) whose Rebuild applies a declared Delta (none,
+// a replacement estimate vector, or a full workload swap) to a
+// previous Plan. A rebuild is a build with the previous plan's
+// workload fingerprint carried over and the estimator skipped, and its
 // Plan is byte-identical to a cold Build. See DESIGN.md §11 for the
 // memory model and the delta contract.
 //
 // The experiment harness, the robustness instruments (robust), the
 // degradation study, the annealing search, and the cmd front-ends all
-// consume this package; none of them pair slicing.Distribute with
-// sched.Dispatch directly anymore, so cross-cutting work — timing,
-// counters, caching, new verdict measures — is wired exactly once, here.
+// consume this package for whole builds; none of them pair
+// slicing.Distribute with sched.Dispatch directly anymore, so
+// cross-cutting work — timing, counters, caching, new verdict measures
+// — is wired exactly once, here.
 package pipeline
 
 import (
@@ -77,18 +77,6 @@ func StrategyEstimator(s wcet.Strategy) Estimator {
 	return Estimator{Name: s.String(), Run: func(g *taskgraph.Graph, p *arch.Platform) ([]rtime.Time, error) {
 		return wcet.Estimates(g, p, s)
 	}}
-}
-
-// Estimate runs the estimator stage alone; single-stage consumers (the
-// public api surface, viewers) use it so the stage has one home.
-func Estimate(g *taskgraph.Graph, p *arch.Platform, s wcet.Strategy) ([]rtime.Time, error) {
-	return wcet.Estimates(g, p, s)
-}
-
-// Slice runs the deadline-distribution stage alone with the slicing
-// technique (Figure 1).
-func Slice(g *taskgraph.Graph, est []rtime.Time, m int, metric slicing.Metric, params slicing.Params) (*slicing.Assignment, error) {
-	return slicing.Distribute(g, est, m, metric, params)
 }
 
 // Dispatcher is the named third-stage hook: a window assignment into a

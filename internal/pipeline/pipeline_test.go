@@ -200,7 +200,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestExplicitEstimatesAreCopied(t *testing.T) {
 	w := workload(t, 8)
-	est, err := Estimate(w.Graph, w.Platform, wcet.AVG)
+	est, err := wcet.Estimates(w.Graph, w.Platform, wcet.AVG)
 	if err != nil {
 		t.Fatal(err)
 	}

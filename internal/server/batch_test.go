@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,6 +113,10 @@ func TestBatchSharesAdmissionBudget(t *testing.T) {
 	srv.holdBuild = make(chan struct{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// LIFO: a failed check must still release the held requests before
+	// ts.Close waits on their handlers.
+	release := sync.OnceFunc(func() { close(srv.holdBuild) })
+	defer release()
 
 	// Occupy the slot.
 	go http.Post(ts.URL+"/plan", "application/json", bytes.NewReader(workloadBody(t, 81)))
@@ -143,7 +148,7 @@ func TestBatchSharesAdmissionBudget(t *testing.T) {
 	// A closed hold releases every later build immediately; leaving it
 	// in place (not nil) avoids racing the still-running first request.
 	// The batch is re-sent once that request has freed its slot.
-	close(srv.holdBuild)
+	release()
 	for len(srv.slots) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slot never freed")

@@ -366,8 +366,11 @@ func TestFleetDrainDuringHedge(t *testing.T) {
 		AttemptTimeout: 10 * time.Second,
 		HedgeAfter:     30 * time.Millisecond,
 	})
-	// The owner p0 parks every admitted request until released.
+	// The owner p0 parks every admitted request until released. A failed
+	// check must still release it before the fleet's cleanup closes p0.
 	nodes[0].srv.holdBuild = make(chan struct{})
+	release := sync.OnceFunc(func() { close(nodes[0].srv.holdBuild) })
+	defer release()
 	body := seedOwnedBy(t, nodes, "p0")
 
 	done := make(chan error, 1)
@@ -406,7 +409,7 @@ func TestFleetDrainDuringHedge(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(nodes[0].srv.holdBuild)
+	release()
 
 	// The owner's parked request dies with its canceled context; only
 	// the hedge's local build ran anywhere in the fleet.

@@ -316,6 +316,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeError writes an error body without counting a plan outcome; the
+// warm-fill endpoints refuse peers through it, not plan clients.
+func writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
 // fail answers a request the server refuses before planning it.
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.writeOutcome(w, planOutcome{code: code, errMsg: fmt.Sprintf(format, args...)})

@@ -327,6 +327,10 @@ func TestBackpressure(t *testing.T) {
 	srv.holdBuild = make(chan struct{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// LIFO: a failed check must still release the held requests before
+	// ts.Close waits on their handlers.
+	release := sync.OnceFunc(func() { close(srv.holdBuild) })
+	defer release()
 	body := workloadBody(t, 10)
 
 	done := make(chan error, 2)
@@ -357,7 +361,7 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// Release the held builds; both earlier requests complete.
-	close(srv.holdBuild)
+	release()
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatalf("held request %d failed: %v", i, err)

@@ -119,11 +119,11 @@ func (h *hintStore) pending() int {
 func (s *Server) handleCacheDigest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.fail(w, http.StatusMethodNotAllowed, "GET /cache/digest")
+		writeError(w, http.StatusMethodNotAllowed, "GET /cache/digest")
 		return
 	}
 	if s.draining.Load() {
-		s.fail(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	resp := digestResponse{}
@@ -142,20 +142,20 @@ func (s *Server) handleCacheDigest(w http.ResponseWriter, r *http.Request) {
 // plan) on /cache/fill.
 func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		s.fail(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
 		k, err := pipeline.DecodeKeyParam(r.URL.Query().Get("key"))
 		if err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+			writeError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
 		plan, ok := s.cache.Lookup(k)
 		if !ok {
 			s.fillMisses.Add(1)
-			s.fail(w, http.StatusNotFound, "plan not resident")
+			writeError(w, http.StatusNotFound, "plan not resident")
 			return
 		}
 		s.fillServed.Add(1)
@@ -163,18 +163,18 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
 		if err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, "reading plan: %v", err)
+			writeError(w, http.StatusUnprocessableEntity, "reading plan: %v", err)
 			return
 		}
 		var pj pipeline.PlanJSON
 		if err := json.Unmarshal(raw, &pj); err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, "parsing plan: %v", err)
+			writeError(w, http.StatusUnprocessableEntity, "parsing plan: %v", err)
 			return
 		}
 		plan, err := pipeline.DecodePlan(pj)
 		if err != nil {
 			// Failed integrity: refuse loudly, never install.
-			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+			writeError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
 		s.cache.Install(plan)
@@ -182,7 +182,7 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		s.fail(w, http.StatusMethodNotAllowed, "GET or POST /cache/fill")
+		writeError(w, http.StatusMethodNotAllowed, "GET or POST /cache/fill")
 	}
 }
 

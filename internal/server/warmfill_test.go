@@ -275,6 +275,42 @@ func TestCacheDigestFillEndpoints(t *testing.T) {
 	}
 }
 
+// TestFillRefusalsAreNotPlanOutcomes: a fill miss (404) and a
+// malformed key token (422) answer a peer, not a plan client, so they
+// leave every pland_requests_total series at 0; the miss is counted by
+// the warm-fill family alone.
+func TestFillRefusalsAreNotPlanOutcomes(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}).Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		token string
+		code  int
+	}{
+		{pipeline.EncodeKeyParam(pipeline.Key{Workload: 1, Estimates: 2}), http.StatusNotFound},
+		{"%21%21not-base64", http.StatusUnprocessableEntity},
+	} {
+		resp, err := http.Get(ts.URL + "/cache/fill?key=" + c.token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Fatalf("fill of %q: %d, want %d", c.token, resp.StatusCode, c.code)
+		}
+	}
+	text := scrape(t, ts)
+	for _, o := range []string{"served", "rejected", "throttled", "expired", "refused"} {
+		name := `pland_requests_total{outcome="` + o + `"}`
+		if got := metricValue(t, text, name); got != 0 {
+			t.Errorf("%s = %g, want 0", name, got)
+		}
+	}
+	if got := metricValue(t, text, `pland_warmfill_fill_total{outcome="miss"}`); got != 1 {
+		t.Errorf("fill miss = %g, want 1", got)
+	}
+}
+
 func getText(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -91,8 +91,10 @@ type InjectedReport struct {
 // run-time deviations applied:
 //
 //   - tasks execute for their trace-perturbed time (WCET overruns,
-//     class slowdown) while the dispatcher keeps deciding with nominal
-//     WCET knowledge — it cannot foresee an overrun;
+//     class slowdown, or early completion under a scale below 1) while
+//     the dispatcher keeps deciding with nominal WCET knowledge — it
+//     cannot foresee either; an early finish can break a feasible
+//     schedule (the Graham anomaly);
 //   - a processor accepts no work from its failure instant on, and the
 //     task it is running at that instant is aborted (work lost) and
 //     re-dispatched on a surviving eligible processor, exploiting the
@@ -107,10 +109,10 @@ type InjectedReport struct {
 // gates. Deadline misses are always judged against the original
 // assignment.
 //
-// The planned schedule s is the nominal baseline: it sizes the run and
-// anchors the degradation comparison. Under a zero trace the injected
-// execution reproduces sched.Dispatch exactly, making injection a
-// strict superset of nominal replay.
+// The planned schedule s is checked only for size: the run dispatches
+// afresh from the assignment, and s steers nothing. Under a zero trace
+// the injected execution reproduces sched.Dispatch exactly, making
+// injection a strict superset of nominal replay.
 //
 // Readiness is tracked incrementally, as in sched.DispatchScratch: a
 // ready list holds the tasks whose predecessors are all placed, and
