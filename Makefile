@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check smoke serve-smoke fleet-smoke recovery-smoke overload-smoke faults margins degrade fuzz bench bench-check bench-serve
+.PHONY: all build test race vet fmt check smoke serve-smoke fleet-smoke recovery-smoke overload-smoke faults margins degrade study-identity fuzz bench bench-check bench-serve
 
 all: check
 
@@ -77,6 +77,14 @@ margins:
 # see EXPERIMENTS.md for the 256-graph table.
 degrade:
 	$(GO) run ./cmd/sweep -study degrade -graphs 24 -wtimeout 30s
+
+# Same-answers check: builds BASE's cmd/sweep (default HEAD~1) in a
+# temporary git worktree and fails unless the margins, faults, degrade,
+# sched and optgap studies print byte-identical output on both. Not a
+# CI step: a change that alters study output on purpose fails it.
+# Usage: make study-identity [BASE=<rev>]
+study-identity:
+	sh scripts/study-identity.sh $(BASE)
 
 # Pipeline-core performance baseline: runs the benchmark suite and
 # refreshes the checked-in BENCH_pipeline.json (cold vs cached builds,

@@ -22,7 +22,10 @@ import (
 // iteration regenerates the figure on a reduced sample (the full 1024
 // graphs/point run is cmd/slicebench); the reported custom metric
 // "succ/point" is the mean success ratio over the figure, so regressions
-// in *results*, not just speed, show up in benchmark diffs.
+// in *results*, not just speed, show up in benchmark diffs. The sample
+// is the same in every iteration, so from the second on its workloads
+// come from the experiment harness's workload memo: the time per
+// iteration is the figure's planning and verification, not generation.
 // ---------------------------------------------------------------------
 
 func benchFigure(b *testing.B, fig int) {

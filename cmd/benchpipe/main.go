@@ -31,9 +31,9 @@
 //   - study/inject            one fault-injected execution of an
 //     ADAPT-L plan of a 40–60-task margins-study graph under
 //     faults.Scaled(1) with slack reclamation
-//   - study/graph             one graph through every margins-study cell
-//     (breakdown, estimation-error grid, re-slice) over a fresh
-//     4,096-plan cache
+//   - study/graph             one graph, never drawn before, through
+//     every margins-study cell (breakdown, estimation-error grid,
+//     re-slice) over a fresh 4,096-plan cache
 //   - serve/decode            graphio.ReadWorkload on the 120-task
 //     request body pland is sent (WriteWorkload's output)
 //   - serve/handler-hit       one cache-hit POST /plan of that body

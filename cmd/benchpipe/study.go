@@ -24,6 +24,11 @@ var (
 
 const studyCacheCapacity = 4096
 
+// studyGraphs counts the graphs study/graph has carried, across every
+// run testing.Benchmark makes of it; op n runs master seed
+// gen.SubSeed(1, n).
+var studyGraphs int
+
 // studyGen is sweep's generator configuration: the paper's 40–60-task
 // graphs on 3 processors at the default laxity.
 func studyGen() gen.Config {
@@ -81,7 +86,10 @@ func studyGraph(pipe pipeline.Shared, master int64) error {
 //   - study/graph  one graph through every margins-study cell over a
 //     fresh 4,096-plan cache, the study's unit of work.
 //
-// Both cycle through 8 seeds.
+// study/inject cycles through 8 seeds. study/graph draws a graph no
+// earlier iteration drew (studyGraphs), so every op pays the one
+// generation a study graph costs instead of finding its workload
+// already generated by the study's process-wide workload memo.
 func studyBenches(bench func(string, func(*testing.B)) *result) error {
 	const samples = 8
 	type injectInput struct {
@@ -125,7 +133,8 @@ func studyBenches(bench func(string, func(*testing.B)) *result) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			pipe := pipeline.Shared{Cache: pipeline.NewCache(studyCacheCapacity)}
-			if err := studyGraph(pipe, int64(1+i%samples)); err != nil {
+			studyGraphs++
+			if err := studyGraph(pipe, gen.SubSeed(1, studyGraphs)); err != nil {
 				b.Fatal(err)
 			}
 		}

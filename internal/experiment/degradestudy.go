@@ -212,7 +212,7 @@ func degradeRunOne(ctx context.Context, cfg DegradeConfig, idx int) (degradeOutc
 
 	gcfg := cfg.Gen
 	gcfg.Seed = gen.SubSeed(cfg.MasterSeed, idx)
-	w, err := gen.Generate(gcfg)
+	w, err := workloads.get(gcfg)
 	if err != nil {
 		return o, err
 	}

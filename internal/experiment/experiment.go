@@ -8,7 +8,9 @@
 // per-cell aggregation. Each data point evaluates Config.NumGraphs
 // independent workloads; workload i of a point derives its seed from the
 // master seed with gen.SubSeed, so every metric and strategy sees the
-// *same* workload sample — paired comparisons, as in the paper.
+// *same* workload sample — paired comparisons, as in the paper. Each
+// sample workload is generated once per process and shared read-only
+// by every cell that draws it (workloads.go).
 package experiment
 
 import (
@@ -177,7 +179,7 @@ func runOne(ctx context.Context, cfg Config, idx int) (runOutcome, error) {
 	var o runOutcome
 	gcfg := cfg.Gen
 	gcfg.Seed = gen.SubSeed(cfg.MasterSeed, idx)
-	w, err := gen.Generate(gcfg)
+	w, err := workloads.get(gcfg)
 	if err != nil {
 		return o, err
 	}

@@ -143,7 +143,7 @@ func faultRunOne(ctx context.Context, cfg FaultConfig, idx int) (faultOutcome, e
 	var o faultOutcome
 	gcfg := cfg.Gen
 	gcfg.Seed = gen.SubSeed(cfg.MasterSeed, idx)
-	w, err := gen.Generate(gcfg)
+	w, err := workloads.get(gcfg)
 	if err != nil {
 		return o, err
 	}

@@ -57,6 +57,33 @@ func (o Options) point(g gen.Config, m slicing.Metric, s wcet.Strategy) Point {
 	})
 }
 
+// fill gives t one series per label with one point per x-value, point
+// x of series s being cell(s, x). It walks the x-values outside and the
+// series inside. Every series of one x-value draws the same sample
+// (the same generator configuration under the same seeds), so the
+// series after the first find it resident in the workload memo
+// whenever one point's sample fits within the memo's bound.
+func fill(t *Table, labels []string, cell func(s, x int) Point) {
+	t.Series = make([]Series, len(labels))
+	for s, label := range labels {
+		t.Series[s] = Series{Name: label, Points: make([]Point, len(t.XValues))}
+	}
+	for x := range t.XValues {
+		for s := range t.Series {
+			t.Series[s].Points[x] = cell(s, x)
+		}
+	}
+}
+
+// names labels each of xs with name.
+func names[T any](xs []T, name func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = name(x)
+	}
+	return out
+}
+
 // Fig2 regenerates Figure 2: success ratio as a function of system size
 // (m = 2..8) for PURE, NORM, ADAPT-G, and ADAPT-L at ETD = 25 %,
 // OLR = DefaultOLR, WCET-AVG.
@@ -69,15 +96,12 @@ func Fig2(o Options) Table {
 	for _, m := range sizes {
 		t.XValues = append(t.XValues, fmt.Sprintf("%d", m))
 	}
-	for _, metric := range slicing.Metrics() {
-		s := Series{Name: metric.Name()}
-		for _, m := range sizes {
-			g := gen.Default(m)
-			g.OLR = DefaultOLR
-			s.Points = append(s.Points, o.point(g, metric, wcet.AVG))
-		}
-		t.Series = append(t.Series, s)
-	}
+	metrics := slicing.Metrics()
+	fill(&t, names(metrics, slicing.Metric.Name), func(s, x int) Point {
+		g := gen.Default(sizes[x])
+		g.OLR = DefaultOLR
+		return o.point(g, metrics[s], wcet.AVG)
+	})
 	return t
 }
 
@@ -97,15 +121,12 @@ func Fig3(o Options) Table {
 	for _, olr := range OLRSweep {
 		t.XValues = append(t.XValues, fmt.Sprintf("%.2f", olr))
 	}
-	for _, metric := range slicing.Metrics() {
-		s := Series{Name: metric.Name()}
-		for _, olr := range OLRSweep {
-			g := gen.Default(3)
-			g.OLR = olr
-			s.Points = append(s.Points, o.point(g, metric, wcet.AVG))
-		}
-		t.Series = append(t.Series, s)
-	}
+	metrics := slicing.Metrics()
+	fill(&t, names(metrics, slicing.Metric.Name), func(s, x int) Point {
+		g := gen.Default(3)
+		g.OLR = OLRSweep[x]
+		return o.point(g, metrics[s], wcet.AVG)
+	})
 	return t
 }
 
@@ -123,16 +144,13 @@ func Fig4(o Options) Table {
 	for _, etd := range ETDSweep {
 		t.XValues = append(t.XValues, fmt.Sprintf("%.0f%%", etd*100))
 	}
-	for _, metric := range slicing.Metrics() {
-		s := Series{Name: metric.Name()}
-		for _, etd := range ETDSweep {
-			g := gen.Default(3)
-			g.OLR = DefaultOLR
-			g.ETD = etd
-			s.Points = append(s.Points, o.point(g, metric, wcet.AVG))
-		}
-		t.Series = append(t.Series, s)
-	}
+	metrics := slicing.Metrics()
+	fill(&t, names(metrics, slicing.Metric.Name), func(s, x int) Point {
+		g := gen.Default(3)
+		g.OLR = DefaultOLR
+		g.ETD = ETDSweep[x]
+		return o.point(g, metrics[s], wcet.AVG)
+	})
 	return t
 }
 
@@ -147,15 +165,11 @@ func Fig5(o Options) Table {
 		t.XValues = append(t.XValues, fmt.Sprintf("%.2f", olr))
 	}
 	metric := slicing.AdaptL()
-	for _, strat := range wcet.Strategies {
-		s := Series{Name: strat.String()}
-		for _, olr := range OLRSweep {
-			g := gen.Default(3)
-			g.OLR = olr
-			s.Points = append(s.Points, o.point(g, metric, strat))
-		}
-		t.Series = append(t.Series, s)
-	}
+	fill(&t, names(wcet.Strategies, wcet.Strategy.String), func(s, x int) Point {
+		g := gen.Default(3)
+		g.OLR = OLRSweep[x]
+		return o.point(g, metric, wcet.Strategies[s])
+	})
 	return t
 }
 
@@ -170,16 +184,12 @@ func Fig6(o Options) Table {
 		t.XValues = append(t.XValues, fmt.Sprintf("%.0f%%", etd*100))
 	}
 	metric := slicing.AdaptL()
-	for _, strat := range wcet.Strategies {
-		s := Series{Name: strat.String()}
-		for _, etd := range ETDSweep {
-			g := gen.Default(3)
-			g.OLR = DefaultOLR
-			g.ETD = etd
-			s.Points = append(s.Points, o.point(g, metric, strat))
-		}
-		t.Series = append(t.Series, s)
-	}
+	fill(&t, names(wcet.Strategies, wcet.Strategy.String), func(s, x int) Point {
+		g := gen.Default(3)
+		g.OLR = DefaultOLR
+		g.ETD = ETDSweep[x]
+		return o.point(g, metric, wcet.Strategies[s])
+	})
 	return t
 }
 

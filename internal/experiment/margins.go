@@ -188,7 +188,7 @@ func marginRunOne(ctx context.Context, cfg MarginConfig, idx int) (marginOutcome
 	}
 	gcfg := cfg.Gen
 	gcfg.Seed = gen.SubSeed(cfg.MasterSeed, idx)
-	w, err := gen.Generate(gcfg)
+	w, err := workloads.get(gcfg)
 	if err != nil {
 		return o, err
 	}
@@ -294,7 +294,7 @@ func breakdownRunOne(ctx context.Context, cfg MarginConfig, idx int) (robust.Bre
 	var b robust.Breakdown
 	gcfg := cfg.Gen
 	gcfg.Seed = gen.SubSeed(cfg.MasterSeed, idx)
-	w, err := gen.Generate(gcfg)
+	w, err := workloads.get(gcfg)
 	if err != nil {
 		return b, err
 	}

@@ -117,7 +117,7 @@ func optGapOne(ctx context.Context, cfg OptGapConfig, idx int) optGapOutcome {
 	gcfg.OLR = cfg.OLR
 	gcfg.MinTasks, gcfg.MaxTasks = cfg.MinTasks, cfg.MaxTasks
 	gcfg.MinDepth, gcfg.MaxDepth = 2, 4
-	w, err := gen.Generate(gcfg)
+	w, err := workloads.get(gcfg)
 	if err != nil {
 		return optGapInconclusive
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/rtime"
@@ -191,10 +190,7 @@ func Generate(cfg Config) (*Workload, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	src := sources.Get().(rand.Source)
-	defer sources.Put(src)
-	src.Seed(cfg.Seed)
-	rng := rand.New(src)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	platform := genPlatform(cfg, rng)
 	g, err := genShaped(cfg, rng, platform)
@@ -289,11 +285,6 @@ func Generate(cfg Config) (*Workload, error) {
 	}
 	return &Workload{Graph: g, Platform: platform, AvgWork: avgWork, Releases: releases}, nil
 }
-
-// sources recycles Generate's random sources, which nothing it returns
-// retains: seeding a reused source is exactly rand.NewSource, without
-// allocating its 4.9 KB state.
-var sources = sync.Pool{New: func() any { return rand.NewSource(0) }}
 
 // optionalSeedMix decorrelates the criticality-labelling stream from the
 // structural stream of the same workload seed.

@@ -253,10 +253,39 @@ func (e *IneligibleTaskError) Error() string {
 	return fmt.Sprintf("graphio: task %d is eligible on no processor class present on the platform", e.Task)
 }
 
+// PinError reports a workload whose graph pins a task to a processor
+// it can never run on: one the platform does not have, or one whose
+// class has no WCET for the task. The task would never be dispatched,
+// so loading rejects it at the boundary instead of the plan reporting
+// the task missed.
+type PinError struct {
+	// Task is the task index in the graph; Name its optional label.
+	Task int
+	Name string
+	// Pin is the processor the task is pinned to.
+	Pin int
+	// M is the platform's processor count.
+	M int
+}
+
+// Error implements error.
+func (e *PinError) Error() string {
+	task := fmt.Sprintf("task %d", e.Task)
+	if e.Name != "" {
+		task = fmt.Sprintf("task %d (%s)", e.Task, e.Name)
+	}
+	if e.Pin >= e.M {
+		return fmt.Sprintf("graphio: %s is pinned to processor %d, but the platform has %d processors", task, e.Pin, e.M)
+	}
+	return fmt.Sprintf("graphio: %s is pinned to processor %d, whose class has no WCET for it", task, e.Pin)
+}
+
 // ValidateEligibility checks that every task of g can run on at least
-// one processor class that is actually present on p, returning an
-// *IneligibleTaskError for the first task that cannot. ReadWorkload
-// applies it automatically whenever the file carries a platform.
+// one processor class that is actually present on p, and that every
+// pinned task is pinned to a processor of p whose class it is eligible
+// on. It returns an *IneligibleTaskError or a *PinError for the first
+// task that fails. ReadWorkload applies it automatically whenever the
+// file carries a platform.
 func ValidateEligibility(g *taskgraph.Graph, p *arch.Platform) error {
 	present := p.ClassesPresent()
 	for _, t := range g.Tasks() {
@@ -269,6 +298,9 @@ func ValidateEligibility(g *taskgraph.Graph, p *arch.Platform) error {
 		}
 		if !ok {
 			return &IneligibleTaskError{Task: t.ID, Name: t.Name}
+		}
+		if t.Pinned >= 0 && (t.Pinned >= p.M() || !t.EligibleOn(p.ClassOf(t.Pinned))) {
+			return &PinError{Task: t.ID, Name: t.Name, Pin: t.Pinned, M: p.M()}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -198,6 +199,73 @@ func TestReadWorkloadRejectsIneligibleTask(t *testing.T) {
 	}
 	if _, _, err := ReadWorkload(&buf); err != nil {
 		t.Fatalf("platform-free workload rejected: %v", err)
+	}
+}
+
+// A task pinned to a processor the platform lacks, or to one whose
+// class has no WCET for it, is rejected at load with the typed error,
+// on the one-pass decoder and on the encoding/json reference alike.
+func TestReadWorkloadRejectsImpossiblePins(t *testing.T) {
+	p, err := arch.New(arch.Unrelated, []arch.Class{{}, {}}, []int{0, 1}, arch.Bus{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload := func(pin int) WorkloadJSON {
+		g := taskgraph.NewGraph(2)
+		g.MustAddTask("a", []rtime.Time{5, 6}, 0)
+		b := g.MustAddTask("b", []rtime.Time{7, rtime.Unset}, 0)
+		b.Pinned = pin
+		g.MustAddArc(0, 1, 1)
+		g.MustFreeze()
+		pj := EncodePlatform(p)
+		return WorkloadJSON{Graph: EncodeGraph(g), Platform: &pj}
+	}
+	for _, tc := range []struct {
+		name, msg string
+		pin       int
+	}{
+		{"absent processor", "platform has 2 processors", 7},
+		{"ineligible class", "no WCET", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wl := workload(tc.pin)
+			var canonical bytes.Buffer
+			enc := json.NewEncoder(&canonical)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(wl); err != nil {
+				t.Fatal(err)
+			}
+			compact, err := json.Marshal(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An escaped name is outside the canonical form.
+			escaped := bytes.Replace(compact, []byte(`"name":"b"`), []byte(`"name":"\u0062"`), 1)
+			for path, data := range map[string][]byte{"one-pass": canonical.Bytes(), "encoding/json": escaped} {
+				if took := checkAgainstReference(t, data); took != (path == "one-pass") {
+					t.Fatalf("%s input: one-pass decoder took it = %v", path, took)
+				}
+				_, _, _, err := ParseWorkload(data)
+				var pe *PinError
+				if !errors.As(err, &pe) {
+					t.Fatalf("%s: want PinError, got %v", path, err)
+				}
+				if pe.Task != 1 || pe.Name != "b" || pe.Pin != tc.pin {
+					t.Errorf("%s: wrong task or pin identified: %+v", path, pe)
+				}
+				if msg := pe.Error(); !strings.Contains(msg, "(b)") || !strings.Contains(msg, tc.msg) {
+					t.Errorf("%s: message %q does not name the task and the fault", path, msg)
+				}
+			}
+		})
+	}
+	// A pin onto an eligible processor loads.
+	data, err := json.Marshal(workload(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ParseWorkload(data); err != nil {
+		t.Fatalf("eligible pin rejected: %v", err)
 	}
 }
 

@@ -223,6 +223,15 @@ func TestPlanRejections(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
 	body := workloadBody(t, 8)
+	// A task pinned to a processor the platform does not have.
+	cfg := gen.Default(3)
+	cfg.Seed = 8
+	w := gen.MustGenerate(cfg)
+	w.Graph.Task(0).Pinned = w.Platform.M()
+	var pinned bytes.Buffer
+	if err := graphio.WriteWorkload(&pinned, w.Graph, w.Platform); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name, query string
@@ -234,6 +243,7 @@ func TestPlanRejections(t *testing.T) {
 		{"unknown dispatcher", "dispatcher=NOPE", body, http.StatusUnprocessableEntity},
 		{"bad timeout", "timeout=-3s", body, http.StatusUnprocessableEntity},
 		{"garbage body", "", []byte("not json"), http.StatusUnprocessableEntity},
+		{"impossible pin", "", pinned.Bytes(), http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		resp, raw := postPlan(t, ts, c.query, c.body)
@@ -258,9 +268,7 @@ func TestPlanRejections(t *testing.T) {
 
 	// A platform-free workload cannot be planned.
 	var buf bytes.Buffer
-	cfg := gen.Default(3)
-	cfg.Seed = 8
-	w := gen.MustGenerate(cfg)
+	w = gen.MustGenerate(cfg)
 	if err := graphio.WriteWorkload(&buf, w.Graph, nil); err != nil {
 		t.Fatal(err)
 	}
