@@ -7,22 +7,21 @@
 //
 //   - build/cold              one full estimate→slice→dispatch build
 //     (pooled scratch, the steady-state cold cost)
-//   - build/cold-pooled       the same build over one caller-owned
-//     BuildScratch — the floor with warm working sets and no pool traffic
 //   - build/cached            the same spec through a warm plan cache
 //   - build/rebuild-estimates one re-slice correction round: Rebuild
 //     with a full corrected-estimate vector off the previous plan
 //   - build/rebuild-wcet      Rebuild with a single-task WCET bump: an
 //     estimate vector that differs from the previous plan's in one task
-//   - build/rebuild-cheap     one brownout cheap build as pland makes
-//     it: a fresh NORM Replanner per op, rebuilding the 120-task full
-//     plan under an empty delta
 //   - fingerprint             the workload hash alone
 //   - verify/analytic         the holistic-RTA schedulability proof of
 //     the 120-task plan released sporadically — one fixed-point
 //     iteration covering every legal release sequence, no timeline
 //   - verify/replay           the same sporadic system checked by
 //     replay: dispatch and simulate a 32-release horizon (one sequence)
+//   - build/cold-120          build/cold on the 120-task graph that
+//     pland and the verify benches plan
+//   - build/cheap             one brownout cheap build as pland makes
+//     it: a cold NORM build of the 120-task graph, tagged degraded
 //   - build/verify-analytic   a full cold build of the 120-task graph
 //     with the analytic verifier as its fourth stage
 //   - breakdown/cache=off     breakdown-factor bisection, re-planning on
@@ -182,16 +181,6 @@ func run(out, check string) error {
 			}
 		}
 	})
-	bench("build/cold-pooled", func(b *testing.B) {
-		builder := &pipeline.Builder{}
-		sc := pipeline.NewBuildScratch()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := builder.BuildWith(spec, sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	bench("build/cached", func(b *testing.B) {
 		builder := &pipeline.Builder{Cache: pipeline.NewCache(8)}
 		if _, err := builder.Build(spec); err != nil {
@@ -327,17 +316,26 @@ func run(out, check string) error {
 	if va.NsPerOp > 0 {
 		rep.VerifySpeedup = vr.NsPerOp / va.NsPerOp
 	}
-	// A brownout cheap build, shaped like the serving layer's: every
-	// request makes its own Replanner under the NORM metric and rebuilds
-	// a resident full plan of the same workload with an empty delta.
-	cheap := &pipeline.Builder{
-		Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
-		Quality:     pipeline.QualityDegraded,
-	}
-	bench("build/rebuild-cheap", func(b *testing.B) {
+	// The full-quality cold build of the 120-task graph, and the brownout
+	// cheap build pland substitutes for it under overload: the same
+	// graph planned cold under the NORM metric.
+	bench("build/cold-120", func(b *testing.B) {
+		builder := &pipeline.Builder{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cheap.NewReplanner().Rebuild(vplan, pipeline.Delta{}); err != nil {
+			if _, err := builder.Build(vspec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	bench("build/cheap", func(b *testing.B) {
+		builder := &pipeline.Builder{
+			Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
+			Quality:     pipeline.QualityDegraded,
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := builder.Build(vspec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -432,9 +430,9 @@ var gated = []struct {
 	name  string
 	bytes bool
 }{
-	{"build/cold", false}, {"build/cold-pooled", false},
+	{"build/cold", false},
 	{"build/rebuild-estimates", false}, {"build/rebuild-wcet", false},
-	{"build/rebuild-cheap", false},
+	{"build/cheap", false},
 	{"serve/decode", false}, {"serve/handler-hit", false},
 	{"study/inject", true}, {"study/graph", true},
 }

@@ -18,7 +18,7 @@ import (
 // comparing are how much value each policy retains per metric and how
 // often the ladder saturates or rejects outright.
 func studyDegrade() int {
-	header("graceful degradation: achieved value under overload-triggered mode changes")
+	header("graceful degradation: achieved value under overload-triggered mode changes", false)
 	intensities := []float64{0, 0.25, 0.5, 0.75, 1.0}
 	run := func(metric slicing.Metric, pol degrade.Policy) (experiment.DegradeCurve, bool) {
 		g := genCfg()

@@ -37,7 +37,11 @@
 // minimum inter-arrival time of -mit and up to -rjitter of release
 // jitter, and a plan succeeds only when every release meets its shifted
 // deadlines (the margins and faults studies likewise perturb the whole
-// released horizon).
+// released horizon). The released horizon is dispatched time-driven
+// whatever a row's dispatcher; a row under another dispatcher must also
+// meet every deadline of its own single-release schedule. The overlap,
+// optgap, late, headroom and degrade studies judge a single release,
+// and their headers name no release model.
 //
 // Long sweeps can checkpoint: -checkpoint journal.jsonl records every
 // completed cell, and -resume replays the journal so an interrupted run
@@ -222,10 +226,12 @@ func genCfg() gen.Config {
 	return g
 }
 
-func runPoint(g gen.Config, metric slicing.Metric, params slicing.Params, schd experiment.Scheduler) float64 {
+// runPoint renders the success percentage of one data point of the
+// calibrated pipeline under the -release model.
+func runPoint(g gen.Config, metric slicing.Metric, params slicing.Params, disp pipeline.Dispatcher) float64 {
 	pt := experiment.Run(experiment.Config{
 		Gen: g, Metric: metric, Params: params, WCET: wcet.AVG,
-		NumGraphs: sw.graphs, MasterSeed: sw.seed, Workers: sw.workers, Scheduler: schd,
+		NumGraphs: sw.graphs, MasterSeed: sw.seed, Workers: sw.workers, Dispatcher: disp,
 		Pipe: sw.pipe, Release: sw.rel,
 	})
 	return 100 * pt.Success.Value()
@@ -233,8 +239,9 @@ func runPoint(g gen.Config, metric slicing.Metric, params slicing.Params, schd e
 
 // pointSucc renders the success percentage of one ad-hoc pipeline
 // configuration — any distributor, any dispatcher — over the standard
-// workload sample. A workload failing at any stage simply does not
-// count as a success, as in all the ablation studies.
+// workload sample, each plan judged on a single release. A workload
+// failing at any stage simply does not count as a success, as in all
+// the ablation studies.
 func pointSucc(cfg gen.Config, dist deadline.Distributor, disp pipeline.Dispatcher) float64 {
 	b := &pipeline.Builder{
 		Distributor: dist,
@@ -260,92 +267,83 @@ func pointSucc(cfg gen.Config, dist deadline.Distributor, disp pipeline.Dispatch
 	return 100 * float64(succ) / float64(sw.graphs)
 }
 
-// sliced is the standard calibrated distributor of the ablations.
-func sliced(metric slicing.Metric) deadline.Distributor {
-	return deadline.Sliced{Metric: metric, Params: slicing.CalibratedParams()}
-}
-
-func header(title string) {
+// header prints a study's title line. It names the -release model only
+// when released is set: when every row of the study is judged under it.
+func header(title string, released bool) {
 	fmt.Fprintf(sw.w, "== %s (m=%d, OLR=%.2f, %d graphs/point", title, sw.m, sw.olr, sw.graphs)
-	if sw.rel.Mode == gen.ReleaseSporadic {
+	if released && sw.rel.Mode == gen.ReleaseSporadic {
 		fmt.Fprintf(sw.w, ", sporadic %d×T=%d J=%d", sw.rel.Count, sw.rel.MinGap, sw.rel.Jitter)
 	}
 	fmt.Fprintln(sw.w, ") ==")
 }
 
 func studyKL() {
-	header("ADAPT-L sensitivity to k_L (§7.1)")
+	header("ADAPT-L sensitivity to k_L (§7.1)", true)
 	for _, kl := range []float64{0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3} {
 		p := slicing.CalibratedParams()
 		p.KL = kl
-		fmt.Fprintf(sw.w, "  k_L=%.2f  %5.1f%%\n", kl, runPoint(genCfg(), slicing.AdaptL(), p, experiment.TimeDriven))
+		fmt.Fprintf(sw.w, "  k_L=%.2f  %5.1f%%\n", kl, runPoint(genCfg(), slicing.AdaptL(), p, pipeline.TimeDriven()))
 	}
 }
 
 func studyKG() {
-	header("ADAPT-G sensitivity to k_G (§7.1)")
+	header("ADAPT-G sensitivity to k_G (§7.1)", true)
 	for _, kg := range []float64{0.1, 0.25, 0.5, 0.75, 1.0, 1.5} {
 		p := slicing.CalibratedParams()
 		p.KG = kg
-		fmt.Fprintf(sw.w, "  k_G=%.2f  %5.1f%%\n", kg, runPoint(genCfg(), slicing.AdaptG(), p, experiment.TimeDriven))
+		fmt.Fprintf(sw.w, "  k_G=%.2f  %5.1f%%\n", kg, runPoint(genCfg(), slicing.AdaptG(), p, pipeline.TimeDriven()))
 	}
 }
 
 func studyCThres() {
-	header("ADAPT-L sensitivity to c_thres factor")
+	header("ADAPT-L sensitivity to c_thres factor", true)
 	for _, f := range []float64{0.5, 0.75, 1.0, 1.25, 1.5} {
 		p := slicing.CalibratedParams()
 		p.CThresFactor = f
-		fmt.Fprintf(sw.w, "  c_thres=%.2f·c_mean  %5.1f%%\n", f, runPoint(genCfg(), slicing.AdaptL(), p, experiment.TimeDriven))
+		fmt.Fprintf(sw.w, "  c_thres=%.2f·c_mean  %5.1f%%\n", f, runPoint(genCfg(), slicing.AdaptL(), p, pipeline.TimeDriven()))
 	}
 }
 
 func studyCCR() {
-	header("sensitivity to CCR (paper fixes 0.1)")
+	header("sensitivity to CCR (paper fixes 0.1)", true)
 	for _, ccr := range []float64{0, 0.05, 0.1, 0.2, 0.5, 1.0} {
 		g := genCfg()
 		g.CCR = ccr
 		fmt.Fprintf(sw.w, "  CCR=%.2f  ADAPT-L %5.1f%%  PURE %5.1f%%\n", ccr,
-			runPoint(g, slicing.AdaptL(), slicing.CalibratedParams(), experiment.TimeDriven),
-			runPoint(g, slicing.PURE(), slicing.CalibratedParams(), experiment.TimeDriven))
+			runPoint(g, slicing.AdaptL(), slicing.CalibratedParams(), pipeline.TimeDriven()),
+			runPoint(g, slicing.PURE(), slicing.CalibratedParams(), pipeline.TimeDriven()))
 	}
 }
 
 func studyMode() {
-	header("Consistent vs Faithful constraint bookkeeping (DESIGN.md)")
+	header("Consistent vs Faithful constraint bookkeeping (DESIGN.md)", true)
 	for _, mode := range []slicing.Mode{slicing.Consistent, slicing.Faithful} {
 		p := slicing.CalibratedParams()
 		p.Mode = mode
 		fmt.Fprintf(sw.w, "  %-10v", mode)
 		for _, metric := range slicing.Metrics() {
-			fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(), runPoint(genCfg(), metric, p, experiment.TimeDriven))
+			fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(), runPoint(genCfg(), metric, p, pipeline.TimeDriven()))
 		}
 		fmt.Fprintln(sw.w)
 	}
 }
 
 func studySched() {
-	header("time-driven dispatcher vs offline planner")
-	for _, schd := range []experiment.Scheduler{experiment.TimeDriven, experiment.Planner} {
-		fmt.Fprintf(sw.w, "  %-12v", schd)
-		for _, metric := range slicing.Metrics() {
-			fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(),
-				runPoint(genCfg(), metric, slicing.CalibratedParams(), schd))
-		}
-		fmt.Fprintln(sw.w)
-	}
-	// The extension schedulers, through the same pipeline core.
-	for _, disp := range []pipeline.Dispatcher{pipeline.Insertion(), pipeline.Preemptive()} {
+	header("time-driven dispatcher vs offline planner", true)
+	// The paper's dispatcher, the offline planner, and the extension
+	// schedulers, through the same pipeline core.
+	for _, disp := range []pipeline.Dispatcher{pipeline.TimeDriven(), pipeline.Planner(), pipeline.Insertion(), pipeline.Preemptive()} {
 		fmt.Fprintf(sw.w, "  %-12s", disp.Name)
 		for _, metric := range slicing.Metrics() {
-			fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(), pointSucc(genCfg(), sliced(metric), disp))
+			fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(),
+				runPoint(genCfg(), metric, slicing.CalibratedParams(), disp))
 		}
 		fmt.Fprintln(sw.w)
 	}
 }
 
 func studyShape() {
-	header("robustness across graph structures")
+	header("robustness across graph structures", true)
 	// Serial-heavy shapes (fork-join) have far less parallelism, so the
 	// same OLR is much tighter relative to their critical path; show two
 	// tightness rows per shape.
@@ -357,7 +355,7 @@ func studyShape() {
 				cfg.Shape = shape
 				cfg.OLR = olrV
 				fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(),
-					runPoint(cfg, metric, slicing.CalibratedParams(), experiment.TimeDriven))
+					runPoint(cfg, metric, slicing.CalibratedParams(), pipeline.TimeDriven()))
 			}
 			fmt.Fprintln(sw.w)
 		}
@@ -365,7 +363,7 @@ func studyShape() {
 }
 
 func studyResources() {
-	header("exclusive-resource contention: ADAPT-L vs ADAPT-R (§7.3)")
+	header("exclusive-resource contention: ADAPT-L vs ADAPT-R (§7.3)", true)
 	for _, prob := range []float64{0, 0.2, 0.4} {
 		cfg := genCfg()
 		if prob > 0 {
@@ -373,13 +371,13 @@ func studyResources() {
 			cfg.ResourceProb = prob
 		}
 		fmt.Fprintf(sw.w, "  p(res)=%.1f  ADAPT-L %5.1f%%  ADAPT-R %5.1f%%\n", prob,
-			runPoint(cfg, slicing.AdaptL(), slicing.CalibratedParams(), experiment.TimeDriven),
-			runPoint(cfg, slicing.AdaptR(), slicing.CalibratedParams(), experiment.TimeDriven))
+			runPoint(cfg, slicing.AdaptL(), slicing.CalibratedParams(), pipeline.TimeDriven()),
+			runPoint(cfg, slicing.AdaptR(), slicing.CalibratedParams(), pipeline.TimeDriven()))
 	}
 }
 
 func studyOptGap() {
-	header("failure attribution: dispatcher vs deadline distribution (small graphs)")
+	header("failure attribution: dispatcher vs deadline distribution (small graphs)", false)
 	for _, metric := range []slicing.Metric{slicing.PURE(), slicing.AdaptL()} {
 		res := experiment.OptGap(experiment.OptGapConfig{
 			Metric:     metric,
@@ -399,7 +397,7 @@ func studyOptGap() {
 }
 
 func studyLateness() {
-	header("mean max lateness under loose deadlines (§4.2 secondary measure)")
+	header("mean max lateness under loose deadlines (§4.2 secondary measure)", false)
 	opts := experiment.DefaultOptions()
 	opts.NumGraphs = sw.graphs
 	opts.MasterSeed = sw.seed
@@ -408,7 +406,7 @@ func studyLateness() {
 }
 
 func studyHom() {
-	header("homogeneous single-class platform (the setting of [12])")
+	header("homogeneous single-class platform (the setting of [12])", true)
 	// Identical processors, one class, no per-class ineligibility: the
 	// configuration the ADAPT metrics were first proposed for. The same
 	// ordering should hold without any heterogeneity in play.
@@ -418,21 +416,21 @@ func studyHom() {
 		cfg.MinClasses, cfg.MaxClasses = 1, 1
 		cfg.IneligibleProb = 0
 		fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(),
-			runPoint(cfg, metric, slicing.CalibratedParams(), experiment.TimeDriven))
+			runPoint(cfg, metric, slicing.CalibratedParams(), pipeline.TimeDriven()))
 	}
 	fmt.Fprintln(sw.w)
 }
 
 func studyPolicy() {
-	header("dispatch policies under ADAPT-L windows (§7.3)")
+	header("dispatch policies under ADAPT-L windows (§7.3)", true)
 	for _, pol := range sched.Policies {
 		fmt.Fprintf(sw.w, "  %-5v %5.1f%%\n", pol,
-			pointSucc(genCfg(), sliced(slicing.AdaptL()), pipeline.WithPolicy(pol)))
+			runPoint(genCfg(), slicing.AdaptL(), slicing.CalibratedParams(), pipeline.WithPolicy(pol)))
 	}
 }
 
 func studyPinned() {
-	header("strict vs relaxed locality constraints (§1)")
+	header("strict vs relaxed locality constraints (§1)", true)
 	// Pin an increasing fraction of the boundary (sensor/actuator)
 	// tasks; pinned tasks have exact a-priori WCETs but zero assignment
 	// freedom.
@@ -442,17 +440,17 @@ func studyPinned() {
 			cfg := genCfg()
 			cfg.PinProb = prob
 			fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(),
-				runPoint(cfg, metric, slicing.CalibratedParams(), experiment.TimeDriven))
+				runPoint(cfg, metric, slicing.CalibratedParams(), pipeline.TimeDriven()))
 		}
 		fmt.Fprintln(sw.w)
 	}
 }
 
 func studyHeadroom() {
-	header("headroom above ADAPT-L: annealed virtual costs (related work [15])")
+	header("headroom above ADAPT-L: annealed virtual costs (related work [15])", false)
 	graphsN := min(sw.graphs, 120)
 	builder := &pipeline.Builder{
-		Distributor: sliced(slicing.AdaptL()),
+		Distributor: deadline.Sliced{Metric: slicing.AdaptL(), Params: slicing.CalibratedParams()},
 		Cache:       sw.pipe.Cache,
 		Recorder:    sw.pipe.Recorder,
 	}
@@ -488,7 +486,7 @@ func studyHeadroom() {
 }
 
 func studyAdaptN() {
-	header("ADAPT-N: NORM-shaped adaptive metric across ETD (§6.3 follow-up)")
+	header("ADAPT-N: NORM-shaped adaptive metric across ETD (§6.3 follow-up)", true)
 	metrics := []slicing.Metric{slicing.NORM(), slicing.AdaptG(), slicing.AdaptL(), slicing.AdaptN()}
 	for _, etd := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		fmt.Fprintf(sw.w, "  ETD=%3.0f%%", etd*100)
@@ -496,14 +494,14 @@ func studyAdaptN() {
 			cfg := genCfg()
 			cfg.ETD = etd
 			fmt.Fprintf(sw.w, "  %s %5.1f%%", metric.Name(),
-				runPoint(cfg, metric, slicing.CalibratedParams(), experiment.TimeDriven))
+				runPoint(cfg, metric, slicing.CalibratedParams(), pipeline.TimeDriven()))
 		}
 		fmt.Fprintln(sw.w)
 	}
 }
 
 func studyFaults() {
-	header("graceful degradation under injected faults (robustness)")
+	header("graceful degradation under injected faults (robustness)", true)
 	runFaultPoint := func(metric slicing.Metric, intensity float64, reclaim bool) experiment.FaultPoint {
 		return experiment.FaultRun(experiment.FaultConfig{
 			Gen: genCfg(), Metric: metric, Params: slicing.CalibratedParams(), WCET: wcet.AVG,
@@ -551,7 +549,7 @@ func min(a, b int) int {
 }
 
 func studyOverlap() {
-	header("slicing vs overlapping-window baselines (UD/ED)")
+	header("slicing vs overlapping-window baselines (UD/ED)", false)
 	dists := []deadline.Distributor{
 		deadline.Sliced{Metric: slicing.AdaptL(), Params: slicing.CalibratedParams()},
 		deadline.Sliced{Metric: slicing.PURE(), Params: slicing.CalibratedParams()},

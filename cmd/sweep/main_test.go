@@ -2,10 +2,19 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
+	"repro/internal/gen"
+	"repro/internal/pipeline"
+	"repro/internal/sched"
+	"repro/internal/slicing"
+	"repro/internal/wcet"
 )
 
 func TestRunSingleStudy(t *testing.T) {
@@ -206,5 +215,73 @@ func TestRunBadFlag(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if code := run([]string{"-nope"}, &out, &errBuf); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
+	}
+}
+
+// TestReleaseModelReachesEveryRow: under -release sporadic every row of
+// -study sched and -study policy is judged over the released horizon,
+// exactly as experiment.Run judges that dispatcher, and the studies that
+// judge a single release whatever -release says name no release model
+// in their headers.
+func TestReleaseModelReachesEveryRow(t *testing.T) {
+	const graphs, seed = 16, 5
+	flags := []string{"-graphs", fmt.Sprint(graphs), "-seed", fmt.Sprint(seed),
+		"-release", "sporadic", "-releases", "4", "-mit", "400"}
+	rel := gen.Release{Mode: gen.ReleaseSporadic, Count: 4, MinGap: 400}
+	const tag = "sporadic 4×T=400 J=0"
+	cell := func(metric slicing.Metric, disp pipeline.Dispatcher) string {
+		g := gen.Default(3)
+		g.OLR = experiment.DefaultOLR
+		pt := experiment.Run(experiment.Config{
+			Gen: g, Metric: metric, Params: slicing.CalibratedParams(), WCET: wcet.AVG,
+			NumGraphs: graphs, MasterSeed: seed, Dispatcher: disp, Release: rel,
+		})
+		return fmt.Sprintf("%5.1f%%", 100*pt.Success.Value())
+	}
+	study := func(name string) string {
+		var out, errBuf bytes.Buffer
+		if code := run(append([]string{"-study", name}, flags...), &out, &errBuf); code != 0 {
+			t.Fatalf("%s: exit %d: %s", name, code, errBuf.String())
+		}
+		return out.String()
+	}
+
+	var want []string
+	for _, disp := range []pipeline.Dispatcher{pipeline.TimeDriven(), pipeline.Planner(), pipeline.Insertion(), pipeline.Preemptive()} {
+		row := fmt.Sprintf("  %-12s", disp.Name)
+		for _, metric := range slicing.Metrics() {
+			row += fmt.Sprintf("  %s %s", metric.Name(), cell(metric, disp))
+		}
+		want = append(want, row)
+	}
+	checkRows(t, "sched", study("sched"), tag, want)
+
+	want = want[:0]
+	for _, pol := range sched.Policies {
+		want = append(want, fmt.Sprintf("  %-5v %s", pol, cell(slicing.AdaptL(), pipeline.WithPolicy(pol))))
+	}
+	checkRows(t, "policy", study("policy"), tag, want)
+
+	for _, name := range []string{"overlap", "optgap", "late", "headroom", "degrade"} {
+		hdr, _, _ := strings.Cut(study(name), "\n")
+		if strings.Contains(hdr, "sporadic") {
+			t.Errorf("%s judges one release but its header names the release model: %s", name, hdr)
+		}
+	}
+}
+
+// checkRows requires out's header to carry tag and its body to hold
+// every wanted row as a whole line.
+func checkRows(t *testing.T, name, out, tag string, want []string) {
+	t.Helper()
+	hdr, body, _ := strings.Cut(out, "\n")
+	if !strings.Contains(hdr, tag) {
+		t.Errorf("%s header lacks %q: %s", name, tag, hdr)
+	}
+	lines := strings.Split(body, "\n")
+	for _, row := range want {
+		if !slices.Contains(lines, row) {
+			t.Errorf("%s: no row\n%s\nin\n%s", name, row, body)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func cell[T any](j *experiment.Journal, key string, compute func() T) (T, error)
 // models, and the adaptive re-slicing recovery rate. It is the one
 // study wired to the -checkpoint/-resume journal.
 func studyMargins() int {
-	header("robustness margins under WCET estimation error")
+	header("robustness margins under WCET estimation error", true)
 	fingerprint := fmt.Sprintf("margins graphs=%d seed=%d m=%d olr=%g",
 		sw.graphs, sw.seed, sw.m, sw.olr)
 	var journal *experiment.Journal

@@ -232,27 +232,13 @@ func degradeRunOne(ctx context.Context, cfg DegradeConfig, idx int) (degradeOutc
 		Recorder:    cfg.Pipe.Recorder,
 	}
 	pipes := make([]*modePipe, len(modes))
-	rp := builder.NewReplanner()
-	var lastPlan *pipeline.Plan
 	pipe := func(l int) *modePipe {
 		if pipes[l] != nil {
 			return pipes[l]
 		}
 		p := &modePipe{}
 		pipes[l] = p
-		spec := pipeline.Spec{Graph: modes[l].Graph, Platform: w.Platform}
-		if lastPlan == nil {
-			p.plan, p.err = builder.BuildContext(ctx, spec)
-		} else {
-			// Each mode level drops tasks, so escalation is a workload
-			// delta: the replanner falls back to a full build and the
-			// recorder counts it as one, keeping the ladder's planning
-			// cost visible next to the loops that do rebuild cheaply.
-			p.plan, _, p.err = rp.RebuildContext(ctx, lastPlan, pipeline.WorkloadDelta(spec))
-		}
-		if p.err == nil {
-			lastPlan = p.plan
-		}
+		p.plan, p.err = builder.BuildContext(ctx, pipeline.Spec{Graph: modes[l].Graph, Platform: w.Platform})
 		return p
 	}
 

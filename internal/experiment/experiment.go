@@ -44,8 +44,9 @@ type Config struct {
 	MasterSeed int64
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Scheduler selects the baseline scheduler variant.
-	Scheduler Scheduler
+	// Dispatcher schedules the assigned windows; the zero value is the
+	// paper's time-driven dispatcher (pipeline.TimeDriven).
+	Dispatcher pipeline.Dispatcher
 	// Classify additionally runs the feas necessary-condition check on
 	// every assignment, filling Point.ProvablyInfeasible. It roughly
 	// doubles the per-workload cost (O(n²) boundary intervals), so it is
@@ -73,7 +74,7 @@ func (cfg Config) builder() *pipeline.Builder {
 	b := &pipeline.Builder{
 		Estimator:   pipeline.StrategyEstimator(cfg.WCET),
 		Distributor: deadline.Sliced{Metric: cfg.Metric, Params: cfg.Params},
-		Dispatcher:  cfg.Scheduler.dispatcher(),
+		Dispatcher:  cfg.Dispatcher,
 		Cache:       cfg.Pipe.Cache,
 		Recorder:    cfg.Pipe.Recorder,
 	}
@@ -81,37 +82,6 @@ func (cfg Config) builder() *pipeline.Builder {
 		b.Verifier = pipeline.FeasVerifier()
 	}
 	return b
-}
-
-// Scheduler selects how the assigned windows are scheduled.
-type Scheduler int
-
-const (
-	// TimeDriven uses sched.Dispatch, the paper's non-preemptive
-	// time-driven run-time dispatcher (the default).
-	TimeDriven Scheduler = iota
-	// Planner uses sched.EDF, the offline greedy list scheduler with
-	// per-processor reservation.
-	Planner
-)
-
-// String implements fmt.Stringer.
-func (s Scheduler) String() string {
-	switch s {
-	case TimeDriven:
-		return "time-driven"
-	case Planner:
-		return "planner"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
-}
-
-// dispatcher returns the pipeline dispatcher hook of the variant.
-func (s Scheduler) dispatcher() pipeline.Dispatcher {
-	if s == Planner {
-		return pipeline.Planner()
-	}
-	return pipeline.TimeDriven()
 }
 
 // Point aggregates one data point.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/pipeline"
 	"repro/internal/slicing"
 	"repro/internal/stats"
 	"repro/internal/wcet"
@@ -72,19 +73,13 @@ func TestRunSeedSensitivity(t *testing.T) {
 }
 
 func TestSchedulerVariantsBothWork(t *testing.T) {
-	for _, s := range []Scheduler{TimeDriven, Planner} {
+	for _, d := range []pipeline.Dispatcher{{}, pipeline.TimeDriven(), pipeline.Planner()} {
 		cfg := smallConfig(slicing.AdaptL())
-		cfg.Scheduler = s
+		cfg.Dispatcher = d
 		p := Run(cfg)
 		if p.Errors != 0 || p.Success.Total != 30 {
-			t.Errorf("%v: errors=%d total=%d", s, p.Errors, p.Success.Total)
+			t.Errorf("%q: errors=%d total=%d", d.Name, p.Errors, p.Success.Total)
 		}
-	}
-	if TimeDriven.String() != "time-driven" || Planner.String() != "planner" {
-		t.Error("scheduler names wrong")
-	}
-	if !strings.Contains(Scheduler(9).String(), "9") {
-		t.Error("unknown scheduler should include its number")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/degrade"
 	"repro/internal/gen"
+	"repro/internal/pipeline"
 	"repro/internal/robust"
 	"repro/internal/slicing"
 	"repro/internal/stats"
@@ -58,16 +59,16 @@ func TestGoldenRun(t *testing.T) {
 	var sb strings.Builder
 	for _, olr := range []float64{0.45, 0.8} { // tight deadlines exercise the failure paths
 		for _, metric := range slicing.Metrics() {
-			for _, schd := range []Scheduler{TimeDriven, Planner} {
+			for _, disp := range []pipeline.Dispatcher{pipeline.TimeDriven(), pipeline.Planner()} {
 				gcfg := gen.Default(3)
 				gcfg.OLR = olr
 				pt := Run(Config{
 					Gen: gcfg, Metric: metric, Params: slicing.CalibratedParams(),
-					WCET: wcet.AVG, NumGraphs: 24, MasterSeed: goldenSeed, Scheduler: schd,
+					WCET: wcet.AVG, NumGraphs: 24, MasterSeed: goldenSeed, Dispatcher: disp,
 					Classify: true,
 				})
 				fmt.Fprintf(&sb, "olr=%g %s %v succ=%d/%d overc=%d infeas=%d errs=%d late{%s} lax{%s}\n",
-					olr, metric.Name(), schd, pt.Success.Succ, pt.Success.Total, pt.OverConstrained,
+					olr, metric.Name(), disp.Name, pt.Success.Succ, pt.Success.Total, pt.OverConstrained,
 					pt.ProvablyInfeasible, pt.Errors, fr(pt.Lateness), fr(pt.MinLaxity))
 			}
 		}

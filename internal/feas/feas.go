@@ -65,14 +65,45 @@ func (v Violation) String() string {
 // Check runs all necessary conditions and returns every violation
 // found (empty means the assignment *may* be feasible).
 func Check(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) ([]Violation, error) {
+	var out []Violation
+	err := scan(g, p, asg, &Scratch{}, func(v Violation) bool {
+		out = append(out, v)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Infeasible reports whether the assignment is provably unschedulable,
+// from Check's full list of violations; InfeasibleScratch reaches the
+// same verdict at the first one.
+func Infeasible(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (bool, error) {
+	v, err := Check(g, p, asg)
+	if err != nil {
+		return false, err
+	}
+	return len(v) > 0, nil
+}
+
+// scan checks the three conditions over sc — every task's own window,
+// then processor demand over every boundary interval, then each
+// resource's demand over every boundary interval — and hands each
+// violation, in that order, to report. It stops at the first report
+// that returns false.
+func scan(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, sc *Scratch, report func(Violation) bool) error {
 	n := g.NumTasks()
 	if len(asg.Arrival) != n || len(asg.AbsDeadline) != n {
-		return nil, fmt.Errorf("feas: assignment covers %d tasks, graph has %d", len(asg.Arrival), n)
+		return fmt.Errorf("feas: assignment covers %d tasks, graph has %d", len(asg.Arrival), n)
 	}
 	present := p.ClassesPresent()
 
 	// Minimal execution time per task over eligible present classes.
-	minC := make([]rtime.Time, n)
+	if cap(sc.minC) < n {
+		sc.minC = make([]rtime.Time, n)
+	}
+	minC := sc.minC[:n]
 	for i, t := range g.Tasks() {
 		best := rtime.Infinity
 		if t.Pinned >= 0 {
@@ -89,38 +120,41 @@ func Check(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) ([]Vio
 			}
 		}
 		if best == rtime.Infinity {
-			return nil, fmt.Errorf("feas: task %d eligible on no present class", i)
+			return fmt.Errorf("feas: task %d eligible on no present class", i)
 		}
 		minC[i] = best
 	}
 
-	var out []Violation
-
 	// Condition 1: own-window capacity.
 	for i := 0; i < n; i++ {
 		w := rtime.Window{Arrival: asg.Arrival[i], Deadline: asg.AbsDeadline[i]}
-		if minC[i] > w.Len() {
-			out = append(out, Violation{
-				Kind: "window", Task: i, Resource: -1,
-				Interval: w, Demand: minC[i], Capacity: w.Len(),
-			})
+		if minC[i] > w.Len() && !report(Violation{
+			Kind: "window", Task: i, Resource: -1,
+			Interval: w, Demand: minC[i], Capacity: w.Len(),
+		}) {
+			return nil
 		}
 	}
 
-	// Boundary set for interval enumeration.
-	bset := map[rtime.Time]bool{}
-	for i := 0; i < n; i++ {
-		bset[asg.Arrival[i]] = true
-		bset[asg.AbsDeadline[i]] = true
+	// Boundary set for interval enumeration: the 2n window edges,
+	// sorted and deduplicated in place.
+	if cap(sc.bounds) < 2*n {
+		sc.bounds = make([]rtime.Time, 2*n)
 	}
-	bounds := make([]rtime.Time, 0, len(bset))
-	for b := range bset {
-		bounds = append(bounds, b)
+	bounds := sc.bounds[:0]
+	for i := 0; i < n; i++ {
+		bounds = append(bounds, asg.Arrival[i], asg.AbsDeadline[i])
 	}
 	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
+	k := 0
+	for i, b := range bounds {
+		if i == 0 || b != bounds[k-1] {
+			bounds[k] = b
+			k++
+		}
+	}
+	bounds = bounds[:k]
 
-	// Condition 2: processor demand over every boundary interval.
-	m := rtime.Time(p.M())
 	demandIn := func(a, b rtime.Time, filter func(i int) bool) rtime.Time {
 		var d rtime.Time
 		for i := 0; i < n; i++ {
@@ -132,16 +166,19 @@ func Check(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) ([]Vio
 		}
 		return d
 	}
+
+	// Condition 2: processor demand over every boundary interval.
+	m := rtime.Time(p.M())
 	for ai := 0; ai < len(bounds); ai++ {
 		for bi := ai + 1; bi < len(bounds); bi++ {
 			a, b := bounds[ai], bounds[bi]
-			cap := m * (b - a)
-			if d := demandIn(a, b, nil); d > cap {
-				out = append(out, Violation{
-					Kind: "processors", Task: -1, Resource: -1,
-					Interval: rtime.Window{Arrival: a, Deadline: b},
-					Demand:   d, Capacity: cap,
-				})
+			capacity := m * (b - a)
+			if d := demandIn(a, b, nil); d > capacity && !report(Violation{
+				Kind: "processors", Task: -1, Resource: -1,
+				Interval: rtime.Window{Arrival: a, Deadline: b},
+				Demand:   d, Capacity: capacity,
+			}) {
+				return nil
 			}
 		}
 	}
@@ -167,24 +204,15 @@ func Check(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) ([]Vio
 		for ai := 0; ai < len(bounds); ai++ {
 			for bi := ai + 1; bi < len(bounds); bi++ {
 				a, b := bounds[ai], bounds[bi]
-				if d := demandIn(a, b, holds); d > b-a {
-					out = append(out, Violation{
-						Kind: "resource", Task: -1, Resource: r,
-						Interval: rtime.Window{Arrival: a, Deadline: b},
-						Demand:   d, Capacity: b - a,
-					})
+				if d := demandIn(a, b, holds); d > b-a && !report(Violation{
+					Kind: "resource", Task: -1, Resource: r,
+					Interval: rtime.Window{Arrival: a, Deadline: b},
+					Demand:   d, Capacity: b - a,
+				}) {
+					return nil
 				}
 			}
 		}
 	}
-	return out, nil
-}
-
-// Infeasible reports whether the assignment is provably unschedulable.
-func Infeasible(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment) (bool, error) {
-	v, err := Check(g, p, asg)
-	if err != nil {
-		return false, err
-	}
-	return len(v) > 0, nil
+	return nil
 }

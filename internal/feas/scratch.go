@@ -1,9 +1,6 @@
 package feas
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/arch"
 	"repro/internal/rtime"
 	"repro/internal/slicing"
@@ -25,115 +22,13 @@ type Scratch struct {
 // condition instead of enumerating all of them. The verdict — and any
 // error — is identical to Infeasible's.
 func InfeasibleScratch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, sc *Scratch) (bool, error) {
-	n := g.NumTasks()
-	if len(asg.Arrival) != n || len(asg.AbsDeadline) != n {
-		return false, fmt.Errorf("feas: assignment covers %d tasks, graph has %d", len(asg.Arrival), n)
-	}
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	present := p.ClassesPresent()
-
-	if cap(sc.minC) < n {
-		sc.minC = make([]rtime.Time, n)
-	}
-	minC := sc.minC[:n]
-	for i, t := range g.Tasks() {
-		best := rtime.Infinity
-		if t.Pinned >= 0 {
-			if t.Pinned < p.M() {
-				if c := t.WCET[p.ClassOf(t.Pinned)]; c.IsSet() {
-					best = c
-				}
-			}
-		} else {
-			for k, c := range t.WCET {
-				if c.IsSet() && k < len(present) && present[k] && c < best {
-					best = c
-				}
-			}
-		}
-		if best == rtime.Infinity {
-			return false, fmt.Errorf("feas: task %d eligible on no present class", i)
-		}
-		minC[i] = best
-	}
-
-	// Condition 1: own-window capacity.
-	for i := 0; i < n; i++ {
-		if minC[i] > asg.AbsDeadline[i]-asg.Arrival[i] {
-			return true, nil
-		}
-	}
-
-	// Boundary set: sort the 2n window edges and dedupe in place (Check
-	// uses a map; the sorted-slice form allocates nothing on reuse).
-	if cap(sc.bounds) < 2*n {
-		sc.bounds = make([]rtime.Time, 2*n)
-	}
-	bounds := sc.bounds[:0]
-	for i := 0; i < n; i++ {
-		bounds = append(bounds, asg.Arrival[i], asg.AbsDeadline[i])
-	}
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
-	k := 0
-	for i, b := range bounds {
-		if i == 0 || b != bounds[k-1] {
-			bounds[k] = b
-			k++
-		}
-	}
-	bounds = bounds[:k]
-
-	demandIn := func(a, b rtime.Time, filter func(i int) bool) rtime.Time {
-		var d rtime.Time
-		for i := 0; i < n; i++ {
-			if asg.Arrival[i] >= a && asg.AbsDeadline[i] <= b && asg.AbsDeadline[i] > asg.Arrival[i] {
-				if filter == nil || filter(i) {
-					d += minC[i]
-				}
-			}
-		}
-		return d
-	}
-
-	// Condition 2: processor demand over every boundary interval.
-	m := rtime.Time(p.M())
-	for ai := 0; ai < len(bounds); ai++ {
-		for bi := ai + 1; bi < len(bounds); bi++ {
-			a, b := bounds[ai], bounds[bi]
-			if demandIn(a, b, nil) > m*(b-a) {
-				return true, nil
-			}
-		}
-	}
-
-	// Condition 3: per-resource demand (capacity 1 per time unit).
-	resMax := -1
-	for _, t := range g.Tasks() {
-		for _, r := range t.Resources {
-			if r > resMax {
-				resMax = r
-			}
-		}
-	}
-	for r := 0; r <= resMax; r++ {
-		holds := func(i int) bool {
-			for _, rr := range g.Task(i).Resources {
-				if rr == r {
-					return true
-				}
-			}
-			return false
-		}
-		for ai := 0; ai < len(bounds); ai++ {
-			for bi := ai + 1; bi < len(bounds); bi++ {
-				a, b := bounds[ai], bounds[bi]
-				if demandIn(a, b, holds) > b-a {
-					return true, nil
-				}
-			}
-		}
-	}
-	return false, nil
+	bad := false
+	err := scan(g, p, asg, sc, func(Violation) bool {
+		bad = true
+		return false
+	})
+	return bad, err
 }

@@ -180,29 +180,6 @@ func (c *Cache) Lookup(k Key) (*Plan, bool) {
 	return c.get(k)
 }
 
-// LookupWorkload returns a resident plan whose key carries the workload
-// fingerprint fp and that satisfies accept (nil accepts any), scanning
-// each shard most-recent first. Unlike Lookup it matches regardless of
-// estimates or stage configuration — the serving layer's brownout path
-// uses it to find *any* prior plan of a workload whose estimator output
-// can seed a cheap rebuild. The entry is not promoted: a scan across
-// variants must not reorder the LRU.
-func (c *Cache) LookupWorkload(fp uint64, accept func(*Plan) bool) (*Plan, bool) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			p := el.Value.(*cacheEntry).plan
-			if p.Key.Workload == fp && (accept == nil || accept(p)) {
-				s.mu.Unlock()
-				return p, true
-			}
-		}
-		s.mu.Unlock()
-	}
-	return nil, false
-}
-
 // Contains reports whether k is resident without disturbing the LRU
 // order — digests and replication scans must not promote every entry
 // they enumerate.

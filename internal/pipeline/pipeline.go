@@ -16,17 +16,14 @@
 // aggregates stage statistics across builds (the `sweep -stats` view).
 //
 // Builds draw their transient working memory from a pooled
-// BuildScratch (BuildWith accepts a caller-owned one), so the cold
-// path's allocations are essentially the Plan itself; scratch never
-// aliases into a Plan. Consumers that re-plan the same graph under
-// slightly changed inputs — the re-slice correction loop, the degrade
-// ladder, brownout cheap builds — use a Replanner
-// (Builder.NewReplanner) whose Rebuild applies a declared Delta (none,
-// a replacement estimate vector, or a full workload swap) to a
-// previous Plan. A rebuild is a build with the previous plan's
-// workload fingerprint carried over and the estimator skipped, and its
-// Plan is byte-identical to a cold Build. See DESIGN.md §11 for the
-// memory model and the delta contract.
+// BuildScratch, so the cold path's allocations are essentially the
+// Plan itself; scratch never aliases into a Plan. The re-slice
+// correction loop, which re-plans one graph under corrected estimates,
+// uses a Replanner (Builder.NewReplanner) whose Rebuild applies a
+// replacement estimate vector to a previous Plan. A rebuild is a build
+// with the previous plan's workload fingerprint carried over and the
+// estimator skipped, and its Plan is byte-identical to a cold Build.
+// See DESIGN.md §11 for the memory model and the delta contract.
 //
 // The experiment harness, the robustness instruments (robust), the
 // degradation study, the annealing search, and the cmd front-ends all
@@ -330,11 +327,6 @@ type Plan struct {
 	// Quality records whether the build ran the caller's full
 	// configuration or a deliberately cheapened one (see Quality).
 	Quality Quality
-	// Estimator names the estimator stage that produced Estimates, or ""
-	// when the spec supplied them verbatim (re-slicing feedback, window
-	// replays). Consumers gating on how estimates were derived (the
-	// serving layer's brownout reuse) read this instead of guessing.
-	Estimator string
 	// Stats instruments the build that produced this plan (a cache hit
 	// returns the original build's stats).
 	Stats PlanStats
@@ -383,19 +375,6 @@ func (b *Builder) Build(spec Spec) (*Plan, error) {
 // leader was itself canceled retries — the next round either finds the
 // plan another builder finished, or becomes the leader.
 func (b *Builder) BuildContext(ctx context.Context, spec Spec) (*Plan, error) {
-	return b.buildContextWith(ctx, spec, nil)
-}
-
-// BuildWith is Build over caller-owned scratch: cold working sets come
-// from sc instead of cycling through the package pool, so a
-// single-threaded build loop reuses one warm scratch with no pool
-// traffic. sc must not be shared between concurrent builds; nil is
-// Build.
-func (b *Builder) BuildWith(spec Spec, sc *BuildScratch) (*Plan, error) {
-	return b.buildContextWith(context.Background(), spec, sc)
-}
-
-func (b *Builder) buildContextWith(ctx context.Context, spec Spec, sc *BuildScratch) (*Plan, error) {
 	if spec.Graph == nil || spec.Platform == nil {
 		return nil, fmt.Errorf("pipeline: Spec needs a graph and a platform")
 	}
@@ -408,15 +387,12 @@ func (b *Builder) buildContextWith(ctx context.Context, spec Spec, sc *BuildScra
 	// Stage 1: estimate. Always executed (it is O(n) and its output is
 	// part of the cache key), unless the spec supplies estimates.
 	var est []rtime.Time
-	var estName string
 	if spec.Estimates != nil {
 		est = append([]rtime.Time(nil), spec.Estimates...)
 	} else {
-		e := b.estimator()
-		estName = e.Name
 		probe := beginStage(countAllocs)
 		var err error
-		est, err = e.Run(spec.Graph, spec.Platform)
+		est, err = b.estimator().Run(spec.Graph, spec.Platform)
 		stats.Estimate = probe.end()
 		if err != nil {
 			b.Recorder.recordError()
@@ -426,21 +402,21 @@ func (b *Builder) buildContextWith(ctx context.Context, spec Spec, sc *BuildScra
 
 	dist := b.distributor()
 	key := b.key(Fingerprint(spec.Graph, spec.Platform), hashTimes(est), dist)
-	plan, _, err := b.buildKeyed(ctx, spec, dist, key, est, estName, stats, sc)
+	plan, _, err := b.buildKeyed(ctx, spec, dist, key, est, stats)
 	return plan, err
 }
 
 // buildKeyed is the shared back half of BuildContext and Rebuild: the
 // key is already computed, the estimates resolved. It consults the
 // cache (coalescing concurrent builds of one key) and otherwise runs the
-// cold stages over sc — nil draws a pooled BuildScratch. The returned
-// hit flag reports a plan served from cache residency (coalesced waiters
-// report false: they paid the wait, not nothing).
+// cold stages. The returned hit flag reports a plan served from cache
+// residency (coalesced waiters report false: they paid the wait, not
+// nothing).
 func (b *Builder) buildKeyed(ctx context.Context, spec Spec, dist deadline.Distributor,
-	key Key, est []rtime.Time, estName string, stats PlanStats, sc *BuildScratch) (*Plan, bool, error) {
+	key Key, est []rtime.Time, stats PlanStats) (*Plan, bool, error) {
 
 	if b.Cache == nil {
-		plan, err := b.buildCold(ctx, spec, dist, key, est, estName, stats, sc)
+		plan, err := b.buildCold(ctx, spec, dist, key, est, stats)
 		return plan, false, err
 	}
 	for {
@@ -450,7 +426,7 @@ func (b *Builder) buildKeyed(ctx context.Context, spec Spec, dist deadline.Distr
 			b.Recorder.recordHit()
 			return plan, true, nil
 		case leader:
-			plan, err := b.buildLeader(ctx, spec, dist, key, est, estName, stats, sc, f)
+			plan, err := b.buildLeader(ctx, spec, dist, key, est, stats, f)
 			return plan, false, err
 		}
 		// Another build of this key is in flight: wait for its plan
@@ -508,7 +484,7 @@ func (b *Builder) Probe(spec Spec) (*Plan, Key, error) {
 // guaranteeing the flight resolves even when a stage panics (the panic
 // itself propagates on, preserving the worker pool's panic isolation).
 func (b *Builder) buildLeader(ctx context.Context, spec Spec, dist deadline.Distributor,
-	key Key, est []rtime.Time, estName string, stats PlanStats, sc *BuildScratch, f *flight) (plan *Plan, err error) {
+	key Key, est []rtime.Time, stats PlanStats, f *flight) (plan *Plan, err error) {
 
 	completed := false
 	defer func() {
@@ -516,24 +492,23 @@ func (b *Builder) buildLeader(ctx context.Context, spec Spec, dist deadline.Dist
 			b.Cache.complete(key, f, nil, fmt.Errorf("pipeline: build of %v panicked", key.Distributor))
 		}
 	}()
-	plan, err = b.buildCold(ctx, spec, dist, key, est, estName, stats, sc)
+	plan, err = b.buildCold(ctx, spec, dist, key, est, stats)
 	completed = true
 	b.Cache.complete(key, f, plan, err)
 	return plan, err
 }
 
-// buildCold executes the slice, dispatch, and verify stages; the
-// estimate stage already ran (its hash is part of key). The plan is not
-// inserted into the cache here — with a cache, buildLeader publishes it
-// through the flight so waiters and the LRU table update atomically.
+// buildCold executes the slice, dispatch, and verify stages over a
+// pooled BuildScratch; the estimate stage already ran (its hash is part
+// of key). The plan is not inserted into the cache here — with a cache,
+// buildLeader publishes it through the flight so waiters and the LRU
+// table update atomically.
 func (b *Builder) buildCold(ctx context.Context, spec Spec, dist deadline.Distributor,
-	key Key, est []rtime.Time, estName string, stats PlanStats, sc *BuildScratch) (*Plan, error) {
+	key Key, est []rtime.Time, stats PlanStats) (*Plan, error) {
 
 	countAllocs := b.Recorder.countsAllocs()
-	if sc == nil {
-		sc = getScratch()
-		defer putScratch(sc)
-	}
+	sc := getScratch()
+	defer putScratch(sc)
 
 	// Stage 2: slice.
 	if err := b.stageGate(ctx); err != nil {
@@ -596,7 +571,6 @@ func (b *Builder) buildCold(ctx context.Context, spec Spec, dist deadline.Distri
 		Schedule:   s,
 		Verdict:    verdict,
 		Quality:    b.Quality,
-		Estimator:  estName,
 		Stats:      stats,
 	}
 	b.Recorder.recordBuild(stats)

@@ -7,58 +7,16 @@ import (
 	"repro/internal/rtime"
 )
 
-// DeltaKind classifies what changed between a previous Plan and the
-// workload to re-plan.
-type DeltaKind int
-
-const (
-	// DeltaNone: same workload, same estimates — re-plan under this
-	// Replanner's stage configuration (the brownout ladder's cheap
-	// substitute builds reuse a full plan's estimates this way).
-	DeltaNone DeltaKind = iota
-	// DeltaEstimates replaces the whole estimate vector (the re-slicing
-	// loop's inflation-corrected estimates).
-	DeltaEstimates
-	// DeltaWorkload changes the graph or platform; nothing from the
-	// previous plan survives and the Replanner falls back to a full
-	// build.
-	DeltaWorkload
-)
-
-// String implements fmt.Stringer.
-func (k DeltaKind) String() string {
-	switch k {
-	case DeltaNone:
-		return "none"
-	case DeltaEstimates:
-		return "estimates"
-	case DeltaWorkload:
-		return "workload"
-	}
-	return fmt.Sprintf("DeltaKind(%d)", int(k))
-}
-
-// Delta describes one workload change for Rebuild. Use the constructors;
-// the zero value is DeltaNone.
+// Delta describes one workload change for Rebuild: a full replacement
+// of the estimate vector (the re-slicing loop's inflation-corrected
+// estimates). Build one with EstimatesDelta.
 type Delta struct {
-	Kind DeltaKind
-
-	// Estimates is the full replacement vector (DeltaEstimates).
 	Estimates []rtime.Time
-
-	// Spec is the replacement workload (DeltaWorkload).
-	Spec Spec
 }
 
 // EstimatesDelta declares a full estimate-vector replacement.
 func EstimatesDelta(est []rtime.Time) Delta {
-	return Delta{Kind: DeltaEstimates, Estimates: est}
-}
-
-// WorkloadDelta declares a workload replacement; Rebuild degenerates to
-// a full build of spec.
-func WorkloadDelta(spec Spec) Delta {
-	return Delta{Kind: DeltaWorkload, Spec: spec}
+	return Delta{Estimates: est}
 }
 
 // RebuildOutcome reports how a Rebuild was satisfied.
@@ -70,9 +28,6 @@ const (
 	// RebuildIncremental: the plan was rebuilt off the previous one,
 	// reusing its workload fingerprint without re-running the estimator.
 	RebuildIncremental
-	// RebuildFull: the delta invalidated everything and a cold build of
-	// the new workload ran instead.
-	RebuildFull
 )
 
 // String implements fmt.Stringer.
@@ -82,17 +37,16 @@ func (o RebuildOutcome) String() string {
 		return "hit"
 	case RebuildIncremental:
 		return "incremental"
-	case RebuildFull:
-		return "full"
 	}
 	return fmt.Sprintf("RebuildOutcome(%d)", int(o))
 }
 
 // Replanner rebuilds plans against a previous Plan: a build with the
-// previous plan's workload fingerprint and estimates carried over, so
-// the estimator never re-runs and the workload is never re-hashed. Its
-// builds draw pooled scratch like every other build, and the produced
-// Plan is byte-identical to a cold Build of the mutated workload.
+// previous plan's workload fingerprint carried over and the estimates
+// given, so the estimator never runs and the workload is never
+// re-hashed. Its builds draw pooled scratch like every other build, and
+// the produced Plan is byte-identical to a cold Build of the workload
+// under the new estimates.
 //
 // A Replanner holds only its Builder, which is safe for concurrent use,
 // so one Replanner may serve several goroutines.
@@ -111,56 +65,30 @@ func (rp *Replanner) Rebuild(prev *Plan, delta Delta) (*Plan, RebuildOutcome, er
 	return rp.RebuildContext(context.Background(), prev, delta)
 }
 
-// RebuildContext produces the Plan a cold BuildContext of the mutated
-// workload would produce — same fingerprint, assignment, schedule, and
-// verdict — while reusing what the delta provably left intact: the
-// workload fingerprint, and the estimates in place of the estimator,
-// which never re-runs (DeltaNone carries the previous plan's vector,
-// DeltaEstimates takes the new one). Cache and recorder behavior match
-// BuildContext's: hits coalesce and are reported as RebuildHit.
-//
-// DeltaWorkload (or a nil prev) falls back to a full build of the new
-// workload; this is reported as RebuildFull.
+// RebuildContext produces the Plan a cold BuildContext of prev's
+// workload under delta's estimates would produce — same fingerprint,
+// assignment, schedule, and verdict — while reusing prev's workload
+// fingerprint in place of a re-hash. Cache and recorder behavior match
+// BuildContext's: hits coalesce and are reported as RebuildHit. The
+// outcome means nothing when err is non-nil.
 func (rp *Replanner) RebuildContext(ctx context.Context, prev *Plan, delta Delta) (*Plan, RebuildOutcome, error) {
 	b := rp.b
-	if delta.Kind == DeltaWorkload {
-		plan, err := b.BuildContext(ctx, delta.Spec)
-		b.Recorder.recordRebuild(RebuildFull)
-		return plan, RebuildFull, err
-	}
 	if prev == nil {
-		return nil, RebuildFull, fmt.Errorf("pipeline: Rebuild needs a previous plan for %v deltas", delta.Kind)
+		return nil, RebuildIncremental, fmt.Errorf("pipeline: Rebuild needs a previous plan")
 	}
 	if prev.Graph == nil || prev.Platform == nil {
-		return nil, RebuildFull, fmt.Errorf("pipeline: previous plan carries no workload (snapshot stub?)")
+		return nil, RebuildIncremental, fmt.Errorf("pipeline: previous plan carries no workload (snapshot stub?)")
 	}
-	n := prev.Graph.NumTasks()
-
-	// Resolve the estimates and their hash without re-running the
-	// estimator: the previous plan already carries its output.
-	var est []rtime.Time
-	var estHash uint64
-	estName := ""
-	switch delta.Kind {
-	case DeltaNone:
-		est = prev.Estimates
-		estHash = prev.Key.Estimates
-		estName = prev.Estimator
-	case DeltaEstimates:
-		if len(delta.Estimates) != n {
-			return nil, RebuildFull, fmt.Errorf("pipeline: %d estimates for %d tasks", len(delta.Estimates), n)
-		}
-		est = append([]rtime.Time(nil), delta.Estimates...)
-		estHash = hashTimes(est)
-	default:
-		return nil, RebuildFull, fmt.Errorf("pipeline: unknown delta kind %v", delta.Kind)
+	if n := prev.Graph.NumTasks(); len(delta.Estimates) != n {
+		return nil, RebuildIncremental, fmt.Errorf("pipeline: %d estimates for %d tasks", len(delta.Estimates), n)
 	}
+	est := append([]rtime.Time(nil), delta.Estimates...)
 
 	// Same graph and platform: reuse the fingerprint.
 	dist := b.distributor()
-	key := b.key(prev.Key.Workload, estHash, dist)
+	key := b.key(prev.Key.Workload, hashTimes(est), dist)
 	spec := Spec{Graph: prev.Graph, Platform: prev.Platform, Estimates: est}
-	plan, hit, err := b.buildKeyed(ctx, spec, dist, key, est, estName, PlanStats{}, nil)
+	plan, hit, err := b.buildKeyed(ctx, spec, dist, key, est, PlanStats{})
 	outcome := RebuildIncremental
 	if hit {
 		outcome = RebuildHit

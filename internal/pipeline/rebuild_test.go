@@ -8,16 +8,12 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/deadline"
 	"repro/internal/rtime"
-	"repro/internal/slicing"
 )
 
-// planEqual compares the replanning-relevant plan content: key,
-// estimates, assignment, schedule, and verdict. Stats (timing) and the
-// Estimator provenance string are excluded — a Rebuild legitimately
-// remembers the estimator name where a cold build with supplied
-// estimates cannot.
+// rebuildPlanEqual compares the replanning-relevant plan content: key,
+// estimates, assignment, schedule, verdict, and quality. Stats (timing)
+// are excluded.
 func rebuildPlanEqual(t *testing.T, context string, want, got *Plan) {
 	t.Helper()
 	if want.Key != got.Key {
@@ -56,9 +52,6 @@ func TestRebuildMatchesColdBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev.Estimator == "" {
-			t.Fatalf("seed %d: cold build with estimator stage left Plan.Estimator empty", seed)
-		}
 
 		cur := append([]rtime.Time(nil), prev.Estimates...)
 		for step := 0; step < 12; step++ {
@@ -91,58 +84,6 @@ func TestRebuildMatchesColdBuild(t *testing.T) {
 			prev = got
 		}
 	}
-}
-
-// DeltaNone re-plans the same workload and estimates under the
-// Replanner's own (possibly cheaper) configuration — the brownout
-// substitute-build shape — and must match that configuration's cold
-// build. DeltaWorkload must fall back to a plain full build.
-func TestRebuildConfigSwitchAndFallback(t *testing.T) {
-	w := workload(t, 42)
-	full := &Builder{Verifier: FeasVerifier()}
-	prev, err := full.Build(Spec{Graph: w.Graph, Platform: w.Platform})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cheap := &Builder{
-		Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
-		Quality:     QualityDegraded,
-	}
-	got, outcome, err := cheap.NewReplanner().Rebuild(prev, Delta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome != RebuildIncremental {
-		t.Fatalf("outcome %v, want incremental", outcome)
-	}
-	if got.Estimator != prev.Estimator {
-		t.Fatalf("DeltaNone lost estimator provenance: %q vs %q", got.Estimator, prev.Estimator)
-	}
-	want, err := (&Builder{
-		Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
-		Quality:     QualityDegraded,
-	}).Build(Spec{Graph: w.Graph, Platform: w.Platform, Estimates: prev.Estimates})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuildPlanEqual(t, "delta-none", want, got)
-
-	// Workload delta: full rebuild of the new workload.
-	w2 := workload(t, 43)
-	rp := full.NewReplanner()
-	got, outcome, err = rp.Rebuild(prev, WorkloadDelta(Spec{Graph: w2.Graph, Platform: w2.Platform}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome != RebuildFull {
-		t.Fatalf("outcome %v, want full", outcome)
-	}
-	want, err = (&Builder{Verifier: FeasVerifier()}).Build(Spec{Graph: w2.Graph, Platform: w2.Platform})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuildPlanEqual(t, "workload-delta", want, got)
 }
 
 // With a cache configured, rebuilding toward estimates that were already

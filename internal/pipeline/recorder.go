@@ -62,11 +62,11 @@ type Summary struct {
 	// their context was done; cancellations are operational, so they
 	// are kept apart from stage Errors.
 	Canceled uint64
-	// Rebuilds counts Replanner.Rebuild calls; RebuildHits the subset
-	// answered from cache residency, RebuildFallbacks the subset that
-	// degenerated to a full cold build (workload deltas). The remainder
-	// ran incrementally, off the previous plan's fingerprint and
-	// estimates.
+	// Rebuilds counts Replanner.Rebuild calls and RebuildHits the subset
+	// answered from cache residency. The remainder ran incrementally,
+	// off the previous plan's fingerprint. RebuildFallbacks always reads
+	// 0, since no delta falls back to a full build; it stays only because
+	// perfbench's traced study replay (perfbench/tracestudy.go) reads it.
 	Rebuilds, RebuildHits, RebuildFallbacks uint64
 
 	Estimate StageSummary
@@ -145,11 +145,8 @@ func (r *Recorder) recordRebuild(o RebuildOutcome) {
 	}
 	r.mu.Lock()
 	r.sum.Rebuilds++
-	switch o {
-	case RebuildHit:
+	if o == RebuildHit {
 		r.sum.RebuildHits++
-	case RebuildFull:
-		r.sum.RebuildFallbacks++
 	}
 	r.mu.Unlock()
 }
@@ -195,8 +192,8 @@ func (s Summary) Format() string {
 		fmt.Fprintf(&sb, "  %d builds canceled at a stage boundary\n", s.Canceled)
 	}
 	if s.Rebuilds > 0 {
-		fmt.Fprintf(&sb, "  %d rebuilds: %d cache hits, %d incremental, %d full fallbacks\n",
-			s.Rebuilds, s.RebuildHits, s.Rebuilds-s.RebuildHits-s.RebuildFallbacks, s.RebuildFallbacks)
+		fmt.Fprintf(&sb, "  %d rebuilds: %d cache hits, %d incremental\n",
+			s.Rebuilds, s.RebuildHits, s.Rebuilds-s.RebuildHits)
 	}
 	for _, r := range rows {
 		if r.st.Wall == 0 && r.st.Allocs == 0 {

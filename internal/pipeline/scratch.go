@@ -15,8 +15,7 @@ import (
 // included, draws one from a package pool and returns it afterwards, so
 // steady-state builds allocate only the immutable Plan artifact itself —
 // nothing reachable from a Plan ever aliases scratch memory (each
-// sub-scratch guarantees this for its stage's output). BuildWith takes
-// a caller-owned one instead.
+// sub-scratch guarantees this for its stage's output).
 //
 // A BuildScratch is not safe for concurrent use.
 type BuildScratch struct {
@@ -25,17 +24,15 @@ type BuildScratch struct {
 	Feas    *feas.Scratch
 }
 
-// NewBuildScratch returns an empty scratch; its arrays grow to the
-// largest workload it serves.
-func NewBuildScratch() *BuildScratch {
+// scratchPool hands out empty scratches; their arrays grow to the
+// largest workload they serve.
+var scratchPool = sync.Pool{New: func() any {
 	return &BuildScratch{
 		Slicing: slicing.NewWorkspace(),
 		Sched:   &sched.Scratch{},
 		Feas:    &feas.Scratch{},
 	}
-}
-
-var scratchPool = sync.Pool{New: func() any { return NewBuildScratch() }}
+}}
 
 func getScratch() *BuildScratch   { return scratchPool.Get().(*BuildScratch) }
 func putScratch(sc *BuildScratch) { scratchPool.Put(sc) }

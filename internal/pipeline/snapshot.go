@@ -180,10 +180,6 @@ type PlanJSON struct {
 	// Quality is the plan's quality tag ("full" is omitted, keeping
 	// pre-brownout snapshots byte-identical and readable both ways).
 	Quality string `json:"quality,omitempty"`
-	// Estimator names the estimator stage behind Estimates; omitted when
-	// the estimates were supplied externally (and in older snapshots,
-	// which decode with the same meaning).
-	Estimator string `json:"estimator,omitempty"`
 	// StageWallNS is estimate/slice/dispatch/verify wall time in ns.
 	StageWallNS [4]int64 `json:"stageWallNS"`
 }
@@ -230,7 +226,6 @@ func EncodePlan(p *Plan) PlanJSON {
 	if p.Quality != QualityFull {
 		pj.Quality = p.Quality.String()
 	}
-	pj.Estimator = p.Estimator
 	platform := graphio.EncodePlatform(p.Platform)
 	pj.Workload.Platform = &platform
 	for _, pl := range p.Schedule.Placements {
@@ -302,7 +297,6 @@ func DecodePlan(in PlanJSON) (*Plan, error) {
 		Platform:  p,
 		Estimates: in.Estimates,
 		Quality:   quality,
-		Estimator: in.Estimator,
 		Assignment: &slicing.Assignment{
 			Arrival:         in.Assignment.Arrival,
 			AbsDeadline:     in.Assignment.AbsDeadline,

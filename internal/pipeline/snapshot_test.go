@@ -260,6 +260,37 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadsEstimatorField: snapshot lines written before plans
+// stopped recording their estimator carry an "estimator" member. Such a
+// line still loads, under the same header, into the same plan, and
+// re-encodes without the member.
+func TestSnapshotReadsEstimatorField(t *testing.T) {
+	plan := snapshotCorpus(t, 1)[0]
+	var buf bytes.Buffer
+	if _, err := WriteSnapshot(&buf, []*Plan{plan}); err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(buf.Bytes(), []byte(`,"stageWallNS"`), []byte(`,"estimator":"WCET-AVG","stageWallNS"`), 1)
+	if bytes.Equal(old, buf.Bytes()) {
+		t.Fatal("snapshot line has no stageWallNS member to precede")
+	}
+	got, err := ReadSnapshot(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("recovered %d plans from a one-plan snapshot", len(got))
+	}
+	planEqual(t, plan, got[0])
+	var again bytes.Buffer
+	if _, err := WriteSnapshot(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatalf("re-encoded snapshot differs\n  %s\n  %s", again.Bytes(), buf.Bytes())
+	}
+}
+
 // TestSaveLoadSnapshot drives the file-level API: save a populated
 // cache, load into a fresh one, and check residency, recency order,
 // and that a missing file is a silent cold start.

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/deadline"
+	"repro/internal/graphio"
+	"repro/internal/pipeline"
 	"repro/internal/slicing"
 )
 
@@ -87,9 +92,10 @@ func TestQualityFullOnNormalServe(t *testing.T) {
 
 // TestBrownoutCheapSubstitutes: at the cheap rung a rich request is
 // served with the NORM/time-driven configuration and tagged degraded —
-// but a request that asked for the cheap configuration anyway keeps
-// full quality, and a plan cached at full quality before the brownout
-// still serves as full.
+// a plain cold build of that configuration, counted as a build — but a
+// request that asked for the cheap configuration anyway keeps full
+// quality, and a plan cached at full quality before the brownout still
+// serves as full.
 func TestBrownoutCheapSubstitutes(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv.Handler())
@@ -104,17 +110,39 @@ func TestBrownoutCheapSubstitutes(t *testing.T) {
 	forceBrownout(srv, brownoutCheap)
 
 	// A rich cold request is substituted and tagged.
-	resp, raw := postPlan(t, ts, "metric=ADAPT-L&verify=1", workloadBody(t, 42))
+	rich := workloadBody(t, 42)
+	resp, raw := postPlan(t, ts, "metric=ADAPT-L&verify=1", rich)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, raw)
 	}
 	if q := resp.Header.Get("X-Plan-Quality"); q != "degraded" {
 		t.Fatalf("X-Plan-Quality = %q, want degraded", q)
 	}
-	var pr planResp
+	var pr struct {
+		planResp
+		Result graphio.ResultJSON `json:"result"`
+	}
 	mustUnmarshal(t, raw, &pr)
 	if pr.Metric != slicing.NORM().Name() || pr.Dispatcher != "time-driven" || pr.Quality != "degraded" {
 		t.Fatalf("served %s/%s/%s, want NORM/time-driven/degraded", pr.Metric, pr.Dispatcher, pr.Quality)
+	}
+	g, p, err := graphio.ReadWorkload(bytes.NewReader(rich))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&pipeline.Builder{
+		Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
+		Dispatcher:  pipeline.TimeDriven(),
+	}).Build(pipeline.Spec{Graph: g, Platform: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pr.Result, graphio.EncodeResult(want.Assignment, want.Schedule)) {
+		t.Fatalf("degraded answer differs from a NORM/time-driven build of the workload\n got %+v\nwant %+v",
+			pr.Result, graphio.EncodeResult(want.Assignment, want.Schedule))
+	}
+	if got := metricValue(t, scrape(t, ts), "pland_builds_total"); got != 2 {
+		t.Fatalf("builds = %g after the warm and the cheap build, want 2", got)
 	}
 
 	// A request already at the cheap configuration is not a downgrade.

@@ -90,14 +90,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				{`quality="full"`, float64(s.plansFull.Load())},
 				{`quality="degraded"`, float64(s.plansDegraded.Load())},
 			}},
-		{"pland_rebuilds_total", "counter", "Incremental replans by outcome.",
-			[]row{
-				{`outcome="hit"`, float64(sum.RebuildHits)},
-				{`outcome="incremental"`, float64(sum.Rebuilds - sum.RebuildHits - sum.RebuildFallbacks)},
-				{`outcome="full"`, float64(sum.RebuildFallbacks)},
-			}},
-		{"pland_brownout_seeded_total", "counter", "Brownout builds replanned off a resident full-quality plan's estimates.",
-			[]row{{"", float64(s.cheapSeeded.Load())}}},
 		{"pland_cache_only_total", "counter", "Cache-only rung outcomes (hit: served from cache, miss: 503).",
 			[]row{
 				{`outcome="hit"`, float64(s.cacheOnlyHits.Load())},

@@ -95,8 +95,6 @@ var nodeExposition = []string{
 	"pland_brownout_level gauge -",
 	"pland_brownout_transitions_total counter -",
 	"pland_plans_total counter quality",
-	"pland_rebuilds_total counter outcome",
-	"pland_brownout_seeded_total counter -",
 	"pland_cache_only_total counter outcome",
 	"pland_batch_requests_total counter -",
 	"pland_batch_items_total counter -",

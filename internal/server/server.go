@@ -200,7 +200,6 @@ type Server struct {
 	plansDegraded  atomic.Int64 // 200s served degraded under brownout
 	cacheOnlyHits  atomic.Int64 // cache-only rung answered from cache
 	cacheOnlyMiss  atomic.Int64 // cache-only rung 503s (no resident plan)
-	cheapSeeded    atomic.Int64 // brownout builds seeded from a prior full plan
 	batchRequests  atomic.Int64 // POST /plan/batch calls
 	batchItems     atomic.Int64 // items across all batch calls
 	batchRoutedOut atomic.Int64 // batch item groups shipped to owning peers
@@ -669,31 +668,6 @@ func cheapen(cfg planConfig) (planConfig, bool) {
 	return cheap, downgraded
 }
 
-// buildCheap plans a brownout-substituted build. A prior full-quality
-// plan of the same workload under the same WCET strategy already paid
-// the estimator stage; when one is resident (any metric or dispatcher),
-// replanning off it with an empty delta reuses its estimates and skips
-// estimation entirely — the cheapest legitimate cold build the rung can
-// serve. With no such plan the path degenerates to a plain cheap build.
-// orig is the configuration the client asked for: its strategy names the
-// estimator a seed plan must have run.
-func (s *Server) buildCheap(ctx context.Context, served, orig planConfig, spec pipeline.Spec) (*pipeline.Plan, error) {
-	b := s.builder(served, pipeline.QualityDegraded)
-	estName := orig.strategy.String()
-	prev, ok := s.cache.LookupWorkload(pipeline.Fingerprint(spec.Graph, spec.Platform),
-		func(p *pipeline.Plan) bool {
-			return p.Quality == pipeline.QualityFull && p.Estimator == estName
-		})
-	if !ok {
-		return b.BuildContext(ctx, spec)
-	}
-	plan, _, err := b.NewReplanner().RebuildContext(ctx, prev, pipeline.Delta{})
-	if err == nil {
-		s.cheapSeeded.Add(1)
-	}
-	return plan, err
-}
-
 // planOutcome is the result of planning one workload through the local
 // admission path.
 type planOutcome struct {
@@ -815,13 +789,7 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 	}
 
 	s.inFlight.Add(1)
-	var plan *pipeline.Plan
-	var err error
-	if quality == pipeline.QualityDegraded {
-		plan, err = s.buildCheap(bctx, served, cfg, spec)
-	} else {
-		plan, err = s.builder(served, quality).BuildContext(bctx, spec)
-	}
+	plan, err := s.builder(served, quality).BuildContext(bctx, spec)
 	s.inFlight.Add(-1)
 	switch {
 	case err == nil:

@@ -351,7 +351,7 @@ func analyze(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, sp *
 // sound because a correct Accept can never coexist with a demand-bound
 // violation, which proves a miss under every dispatcher.
 func (a *analyzer) failed(rounds int, reason string) *Result {
-	if bad, err := feas.Infeasible(a.g, a.p, a.asg); err == nil && bad {
+	if bad, err := feas.InfeasibleScratch(a.g, a.p, a.asg, nil); err == nil && bad {
 		return &Result{Verdict: Reject, Rounds: rounds,
 			Reason: "feasibility demand bound violated (see feas.Check)"}
 	}
