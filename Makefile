@@ -109,11 +109,13 @@ bench-serve:
 
 # Native fuzzers: the checkpoint-journal parser, the workload reader
 # (plain, release-aware, and its canonical fast path against
-# encoding/json), and the chaos scenario parser, each briefly past
-# their checked-in seed corpora.
+# encoding/json), the chaos scenario parser, and the slicer's
+# multi-source chain search against its per-start reference, each
+# briefly past their checked-in seed corpora.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=10s ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkload$$' -fuzztime=10s ./internal/graphio/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkloadRelease$$' -fuzztime=10s ./internal/graphio/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkloadReference$$' -fuzztime=10s ./internal/graphio/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseScenario$$' -fuzztime=10s ./internal/chaos/
+	$(GO) test -run='^$$' -fuzz='^FuzzChainSelection$$' -fuzztime=10s ./internal/slicing/

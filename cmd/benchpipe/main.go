@@ -21,7 +21,7 @@
 //   - build/cold-120          build/cold on the 120-task graph that
 //     pland and the verify benches plan
 //   - build/cheap             one brownout cheap build as pland makes
-//     it: a cold NORM build of the 120-task graph, tagged degraded
+//     it: a cold PURE build of the 120-task graph, tagged degraded
 //   - build/verify-analytic   a full cold build of the 120-task graph
 //     with the analytic verifier as its fourth stage
 //   - breakdown/cache=off     breakdown-factor bisection, re-planning on
@@ -318,7 +318,7 @@ func run(out, check string) error {
 	}
 	// The full-quality cold build of the 120-task graph, and the brownout
 	// cheap build pland substitutes for it under overload: the same
-	// graph planned cold under the NORM metric.
+	// graph planned cold under the PURE metric.
 	bench("build/cold-120", func(b *testing.B) {
 		builder := &pipeline.Builder{}
 		b.ReportAllocs()
@@ -330,7 +330,7 @@ func run(out, check string) error {
 	})
 	bench("build/cheap", func(b *testing.B) {
 		builder := &pipeline.Builder{
-			Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
+			Distributor: deadline.Sliced{Metric: slicing.PURE(), Params: slicing.CalibratedParams()},
 			Quality:     pipeline.QualityDegraded,
 		}
 		b.ReportAllocs()

@@ -52,36 +52,6 @@ type Result struct {
 	StartCost, BestCost float64
 }
 
-// fixedCosts is a Metric that replays an externally chosen ĉ vector
-// through the slicing machinery (PURE-shaped sharing, like the ADAPT
-// family).
-type fixedCosts struct {
-	vc []rtime.Time
-}
-
-func (f *fixedCosts) Name() string { return "ANNEAL" }
-func (f *fixedCosts) VirtualCosts(*slicing.Env) []rtime.Time {
-	return append([]rtime.Time(nil), f.vc...)
-}
-func (f *fixedCosts) R(w rtime.Time, n int, sum rtime.Time) float64 {
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return float64(w-sum) / float64(n)
-}
-func (f *fixedCosts) Shares(w rtime.Time, costs []rtime.Time) []float64 {
-	var sum rtime.Time
-	for _, c := range costs {
-		sum += c
-	}
-	r := f.R(w, len(costs), sum)
-	out := make([]float64, len(costs))
-	for i, c := range costs {
-		out[i] = float64(c) + r
-	}
-	return out
-}
-
 // cost is the annealing objective: missed tasks dominate, max lateness
 // breaks ties (so progress continues once feasible).
 func cost(s *sched.Schedule) float64 {
@@ -104,11 +74,11 @@ func Search(g *taskgraph.Graph, p *arch.Platform, est []rtime.Time, params slici
 	cur := slicing.AdaptL().VirtualCosts(env)
 
 	evaluate := func(vc []rtime.Time) (*slicing.Assignment, *sched.Schedule, float64, error) {
-		// A fresh uncached builder per candidate: fixedCosts' identity is
-		// the ĉ vector, which its stage name cannot capture, so cached
+		// A fresh uncached builder per candidate: the metric's identity
+		// is the ĉ vector, which its stage name cannot capture, so cached
 		// plans would alias across candidates.
 		b := &pipeline.Builder{
-			Distributor: deadline.Sliced{Metric: &fixedCosts{vc: vc}, Params: params},
+			Distributor: deadline.Sliced{Metric: slicing.Fixed("ANNEAL", vc), Params: params},
 		}
 		plan, err := b.Build(pipeline.Spec{Graph: g, Platform: p, Estimates: est})
 		if err != nil {

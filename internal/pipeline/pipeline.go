@@ -61,17 +61,18 @@ type Spec struct {
 	Estimates []rtime.Time
 }
 
-// Estimator is the named first-stage hook: per-task WCET estimates from
-// the workload. The zero value makes Build fall back to the paper's
-// WCET-AVG strategy.
+// Estimator is the first-stage hook: per-task WCET estimates from the
+// workload. Unlike the other stage hooks it has no name: a plan's Key
+// carries the hash of the estimates the hook produced, not the hook.
+// The zero value makes Build fall back to the paper's WCET-AVG
+// strategy.
 type Estimator struct {
-	Name string
-	Run  func(g *taskgraph.Graph, p *arch.Platform) ([]rtime.Time, error)
+	Run func(g *taskgraph.Graph, p *arch.Platform) ([]rtime.Time, error)
 }
 
 // StrategyEstimator adapts a wcet.Strategy (§5.3) to the estimator hook.
 func StrategyEstimator(s wcet.Strategy) Estimator {
-	return Estimator{Name: s.String(), Run: func(g *taskgraph.Graph, p *arch.Platform) ([]rtime.Time, error) {
+	return Estimator{Run: func(g *taskgraph.Graph, p *arch.Platform) ([]rtime.Time, error) {
 		return wcet.Estimates(g, p, s)
 	}}
 }

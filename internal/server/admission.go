@@ -31,7 +31,7 @@ import (
 //   - a brownout ladder for the work that is admitted: as the worst
 //     sojourn crosses configurable rungs, cold builds step down to
 //     progressively cheaper pipeline configurations — full plan →
-//     cheap NORM-metric plan (tagged degraded) → cache/read-through
+//     cheap PURE-metric plan (tagged degraded) → cache/read-through
 //     only with 503 on miss. Cached plans always serve at the quality
 //     they were built at; the ladder only governs what new work costs.
 //     Demotion is immediate at a window close; promotion needs
@@ -50,7 +50,7 @@ type brownoutLevel int
 const (
 	// brownoutOff: cold builds run the client's full configuration.
 	brownoutOff brownoutLevel = iota
-	// brownoutCheap: cold builds are replaced by the cheap NORM-metric
+	// brownoutCheap: cold builds are replaced by the cheap PURE-metric
 	// configuration and tagged degraded; resident full-quality plans
 	// still serve as such.
 	brownoutCheap

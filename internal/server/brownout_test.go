@@ -91,7 +91,7 @@ func TestQualityFullOnNormalServe(t *testing.T) {
 }
 
 // TestBrownoutCheapSubstitutes: at the cheap rung a rich request is
-// served with the NORM/time-driven configuration and tagged degraded —
+// served with the PURE/time-driven configuration and tagged degraded —
 // a plain cold build of that configuration, counted as a build — but a
 // request that asked for the cheap configuration anyway keeps full
 // quality, and a plan cached at full quality before the brownout still
@@ -123,22 +123,22 @@ func TestBrownoutCheapSubstitutes(t *testing.T) {
 		Result graphio.ResultJSON `json:"result"`
 	}
 	mustUnmarshal(t, raw, &pr)
-	if pr.Metric != slicing.NORM().Name() || pr.Dispatcher != "time-driven" || pr.Quality != "degraded" {
-		t.Fatalf("served %s/%s/%s, want NORM/time-driven/degraded", pr.Metric, pr.Dispatcher, pr.Quality)
+	if pr.Metric != slicing.PURE().Name() || pr.Dispatcher != "time-driven" || pr.Quality != "degraded" {
+		t.Fatalf("served %s/%s/%s, want PURE/time-driven/degraded", pr.Metric, pr.Dispatcher, pr.Quality)
 	}
 	g, p, err := graphio.ReadWorkload(bytes.NewReader(rich))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := (&pipeline.Builder{
-		Distributor: deadline.Sliced{Metric: slicing.NORM(), Params: slicing.CalibratedParams()},
+		Distributor: deadline.Sliced{Metric: slicing.PURE(), Params: slicing.CalibratedParams()},
 		Dispatcher:  pipeline.TimeDriven(),
 	}).Build(pipeline.Spec{Graph: g, Platform: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(pr.Result, graphio.EncodeResult(want.Assignment, want.Schedule)) {
-		t.Fatalf("degraded answer differs from a NORM/time-driven build of the workload\n got %+v\nwant %+v",
+		t.Fatalf("degraded answer differs from a PURE/time-driven build of the workload\n got %+v\nwant %+v",
 			pr.Result, graphio.EncodeResult(want.Assignment, want.Schedule))
 	}
 	if got := metricValue(t, scrape(t, ts), "pland_builds_total"); got != 2 {
@@ -146,7 +146,7 @@ func TestBrownoutCheapSubstitutes(t *testing.T) {
 	}
 
 	// A request already at the cheap configuration is not a downgrade.
-	resp, raw = postPlan(t, ts, "metric="+slicing.NORM().Name()+"&dispatcher=time-driven", workloadBody(t, 43))
+	resp, raw = postPlan(t, ts, "metric="+slicing.PURE().Name()+"&dispatcher=time-driven", workloadBody(t, 43))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, raw)
 	}

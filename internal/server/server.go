@@ -96,7 +96,7 @@ type Options struct {
 	// AdmitWindow is the controller's measurement window; 0 means 250ms.
 	AdmitWindow time.Duration
 	// BrownoutCheapAt is the worst-window-sojourn rung at which cold
-	// builds switch to the cheap NORM-metric configuration; 0 means
+	// builds switch to the cheap PURE-metric configuration; 0 means
 	// 2×AdmitTarget, negative disables the rung.
 	BrownoutCheapAt time.Duration
 	// BrownoutCacheOnlyAt is the rung at which cold builds stop
@@ -652,15 +652,16 @@ func (s *Server) builder(cfg planConfig, quality pipeline.Quality) *pipeline.Bui
 	return b
 }
 
-// cheapen strips cfg to the brownout build — the NORM metric (identity
-// virtual costs, no parallel-set analysis), time-driven dispatch, no
-// verification — and reports whether that is actually a downgrade from
-// what the client asked for. A request that already asked for the
-// cheap configuration is served as-is at full quality: brownout
-// substitutes, it never relabels.
+// cheapen strips cfg to the brownout build — the PURE metric (identity
+// virtual costs, no parallel-set analysis, and the slicer's one-DP-per-
+// round chain search), time-driven dispatch, no verification — and
+// reports whether that is actually a downgrade from what the client
+// asked for. A request that already asked for the cheap configuration
+// is served as-is at full quality: brownout substitutes, it never
+// relabels.
 func cheapen(cfg planConfig) (planConfig, bool) {
 	cheap := cfg
-	cheap.metric = slicing.NORM()
+	cheap.metric = slicing.PURE()
 	cheap.disp = pipeline.TimeDriven()
 	cheap.verify = verifyOff
 	downgraded := cfg.metric.Name() != cheap.metric.Name() ||

@@ -203,7 +203,7 @@ func TestPlanDefaultVerify(t *testing.T) {
 // cheapen must drop any verification mode and count it as a downgrade,
 // so brownout substitutes are honestly labeled degraded.
 func TestCheapenDropsVerifyMode(t *testing.T) {
-	base := planConfig{metric: slicing.NORM(), disp: pipeline.TimeDriven()}
+	base := planConfig{metric: slicing.PURE(), disp: pipeline.TimeDriven()}
 	if _, down := cheapen(base); down {
 		t.Fatal("already-cheap configuration counted as a downgrade")
 	}

@@ -279,6 +279,20 @@ func AdaptL() Metric {
 	}
 }
 
+// Fixed returns a PURE-shaped metric whose virtual costs are vc,
+// indexed by task ID. The ADAPT metrics differ only in the rule that
+// computes such a vector, so the slicer runs this one as it runs them.
+// VirtualCosts returns a copy of vc, read at each call.
+func Fixed(name string, vc []rtime.Time) Metric {
+	return &baseMetric{
+		name:  name,
+		shape: pureShape,
+		virtual: func(*Env) []rtime.Time {
+			return append([]rtime.Time(nil), vc...)
+		},
+	}
+}
+
 // Metrics returns the paper's four metrics in presentation order.
 func Metrics() []Metric {
 	return []Metric{PURE(), NORM(), AdaptG(), AdaptL()}

@@ -2,6 +2,8 @@ package slicing
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/rtime"
@@ -210,5 +212,30 @@ func TestDefaultParams(t *testing.T) {
 	p := DefaultParams()
 	if p.KG != 1.5 || p.KL != 0.2 || p.CThresFactor != 1.0 || p.CThres != 0 {
 		t.Errorf("DefaultParams = %+v, want paper §6 values", p)
+	}
+}
+
+// Fixed over the estimates is PURE: the same assignment, and a copy of
+// its vector as the virtual costs.
+func TestFixedOverEstimatesIsPure(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20; i++ {
+		g, est := randomWorkload(rng)
+		vc := append([]rtime.Time(nil), est...)
+		got, err := Distribute(g, est, 3, Fixed("PURE", vc), CalibratedParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Distribute(g, est, 3, PURE(), CalibratedParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workload %d: Fixed over the estimates differs from PURE", i)
+		}
+		Fixed("PURE", vc).VirtualCosts(nil)[0]++
+		if vc[0] != est[0] {
+			t.Fatal("Fixed's virtual costs alias its vector")
+		}
 	}
 }

@@ -124,9 +124,11 @@ type slicer struct {
 	// left is |Π|, the number of tasks not yet sliced.
 	left int
 	// sh devirtualizes the metric's R/Shares rules when the metric is
-	// one of the package's shape-based ones (all built-ins are).
+	// one of the package's shape-based ones (all built-ins are); pure
+	// marks the PURE-shaped ones, whose chain search is multi-source.
 	sh   shape
 	shOK bool
+	pure bool
 }
 
 // Distribute runs the SLICING algorithm (Figure 1) over graph g with the
@@ -166,7 +168,9 @@ func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metr
 	env := &Env{G: g, Est: est, M: m, Params: params}
 	n := g.NumTasks()
 	vc := metric.VirtualCosts(env)
-	ws.prepare(g)
+	bm, shOK := metric.(*baseMetric)
+	pure := shOK && bm.shape == pureShape
+	ws.prepare(g, !pure)
 	s := &slicer{
 		g:        g,
 		metric:   metric,
@@ -186,9 +190,11 @@ func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metr
 			RelDeadline: make([]rtime.Time, n),
 			MetricName:  metric.Name(),
 		},
+		shOK: shOK,
+		pure: pure,
 	}
-	if bm, ok := metric.(*baseMetric); ok {
-		s.sh, s.shOK = bm.shape, true
+	if shOK {
+		s.sh = bm.shape
 	}
 	for i := range s.asg.Arrival {
 		s.asg.Arrival[i] = rtime.Unset
@@ -220,7 +226,9 @@ func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metr
 			return nil, fmt.Errorf("slicing: internal error: no candidate chain with %d tasks unassigned", s.left)
 		}
 		s.distribute(chain)
-		s.ws.invalidateChain(chain)
+		if !s.pure {
+			s.ws.invalidateChain(chain)
+		}
 		if s.mode == Faithful {
 			s.attach(chain)
 		}
@@ -327,15 +335,20 @@ func (c *candidate) better(b *candidate) bool {
 // findCriticalChain implements Step 3: a sweep over the unassigned
 // subgraph that finds the chain minimizing the metric value R. A chain
 // may start and end at any unassigned task; its end-to-end window is
-// [EA(start), LD(end)]. A per-start DP keeps the maximum Σĉ (total
-// virtual cost) for each (node, length), which is the minimum-R chain of
-// its (start, end, length) wherever R does not rise with Σĉ:
+// [EA(start), LD(end)]. For each start and (node, length) the search
+// keeps the chain of maximum Σĉ (total virtual cost), which is the
+// minimum-R chain of its (start, end, length) wherever R does not rise
+// with Σĉ:
 //
 //   - PURE-shaped metrics (PURE, ADAPT-G, ADAPT-L, ADAPT-R):
-//     R = (window − Σĉ)/length always falls as Σĉ grows;
+//     R = (window − Σĉ)/length always falls as Σĉ grows, and across
+//     starts it falls as EA(start) + Σĉ grows, so one multi-source DP
+//     per round serves every start at once (pureChain);
 //   - NORM-shaped metrics (NORM, ADAPT-N): R = window/Σĉ − 1 falls on a
 //     positive window, is flat on a zero one (the tie-break then prefers
-//     the larger Σĉ) and rises on a negative one.
+//     the larger Σĉ) and rises on a negative one. R is a ratio, so no
+//     such reduction over starts holds: these metrics, and caller-defined
+//     ones, run one DP per start.
 //
 // In Consistent mode with positive estimates no chain whose window is
 // ≤ 0 is the minimum: LD(start) ≤ LD(end) minus the estimates of the
@@ -351,11 +364,14 @@ func (c *candidate) better(b *candidate) bool {
 // corridors; TestChainSelectionMatchesExhaustive pins all of this
 // against enumeration.
 //
-// The DP itself is window-free, so its candidate lists are cached per
-// start in the workspace and only recomputed for starts whose reachable
-// set intersects a chain committed since (the EA/LD windows, which do
-// change every round, are applied at evaluation time).
+// The per-start DP is window-free, so its candidate lists are cached
+// per start in the workspace and only recomputed for starts whose
+// reachable set intersects a chain committed since (the EA/LD windows,
+// which do change every round, are applied at evaluation time).
 func (s *slicer) findCriticalChain() ([]int, float64, bool) {
+	if s.pure {
+		return s.pureChain()
+	}
 	var best candidate
 	ws := s.ws
 	for start := 0; start < s.n; start++ {
@@ -377,16 +393,118 @@ func (s *slicer) findCriticalChain() ([]int, float64, bool) {
 	return s.reconstruct(best.start, best.end, best.nTasks), best.r, true
 }
 
+// pureChain is findCriticalChain for the PURE-shaped metrics: one DP
+// over the unassigned subgraph, seeded at every eligible start with
+// key = EA(start) + ĉ(start), finds the chain the per-start DPs would.
+//
+// Why it is exact. R = (LD(end) − key)/l with key = EA(start) + Σĉ, so
+// for a fixed (end, l) R falls as key rises: strictly, since keys are
+// integers and |LD − key| stays below 2⁵². candidate.better orders the
+// chains of one (end, l) by R, then Σĉ (larger first), then start
+// (lower first), so cell (v, l) keeps the lexicographic best of (key,
+// larger first; Σĉ, larger first; start, lower first) over every chain
+// of l tasks ending at v. Appending a task adds the same ĉ to key and
+// Σĉ, so that order survives the extension and cell optima compose: the
+// best chain into (u, l+1) extends the best chain of some (v, l). Nodes
+// are relaxed in topo order and a cell is replaced only on a strict
+// improvement, so among equal tuples the topo-earliest predecessor
+// wins. That is the per-start DP's own tie-break, and the winner's path
+// is the one its start's DP reconstructs. Each cell is scored once its
+// task is final; candidate.better is a strict total order over cells of
+// distinct (end, l), so the order cells are scored in cannot change the
+// winner.
+//
+// Within a round Σĉ = key − EA(start), so maxC holds key and src the
+// start. The search neither fills nor reads the candidate store.
+func (s *slicer) pureChain() ([]int, float64, bool) {
+	ws := s.ws
+	depth := ws.depth
+	W := depth + 1
+	tick := ws.nextTick()
+	faithful := s.mode == Faithful
+	var best candidate
+	for _, v := range s.topo {
+		if s.assigned[v] {
+			continue
+		}
+		row := v * W
+		if !faithful || s.ea[v].IsSet() {
+			// Seed v as a start. No predecessor writes length 1, so the
+			// seed can wait until v's own turn in topo order.
+			c := row + 1
+			ws.cell[c] = tick
+			ws.maxC[c] = s.ea[v] + s.vc[v]
+			ws.par[c] = -1
+			ws.src[c] = int32(v)
+			if ws.stamp[v] != tick {
+				ws.stamp[v] = tick
+				ws.hi[v] = 1
+			}
+			ws.lo[v] = 1
+		} else if ws.stamp[v] != tick {
+			continue
+		}
+		ld := s.ld[v]
+		score := !faithful || ld.IsSet()
+		succs := s.g.Succs(v)
+		for l := ws.lo[v]; l <= ws.hi[v]; l++ {
+			cell := row + int(l)
+			if ws.cell[cell] != tick {
+				continue // a hole in the band: no chain of this length
+			}
+			key, start := ws.maxC[cell], int(ws.src[cell])
+			eaStart := s.ea[start]
+			if score {
+				r := float64(ld-key) / float64(l)
+				if !best.valid || r <= best.r {
+					c := candidate{r: r, nTasks: int(l), sumC: key - eaStart, start: start, end: v, valid: true}
+					if best.better(&c) {
+						best = c
+					}
+				}
+			}
+			if int(l) >= depth {
+				continue // targets sit at l+1 ≤ depth
+			}
+			for _, u := range succs {
+				if s.assigned[u] {
+					continue
+				}
+				uc := u*W + int(l) + 1
+				tot := key + s.vc[u]
+				if ws.cell[uc] != tick {
+					ws.cell[uc] = tick
+					ws.widen(u, l+1, tick)
+				} else if old := ws.maxC[uc]; tot < old {
+					continue
+				} else if tot == old {
+					// Equal keys: the larger Σĉ is the earlier EA(start).
+					prev := int(ws.src[uc])
+					if eaPrev := s.ea[prev]; eaStart > eaPrev || eaStart == eaPrev && start >= prev {
+						continue
+					}
+				}
+				ws.maxC[uc] = tot
+				ws.par[uc] = int32(v)
+				ws.src[uc] = int32(start)
+			}
+		}
+	}
+	if !best.valid {
+		return nil, 0, false
+	}
+	return s.chainTo(best.end, best.nTasks), best.r, true
+}
+
 // evalCands folds start's (exact) candidate list into best under the
-// current EA/LD windows. The r computation is specialized per shape
-// inline — this fold is the hottest loop of the slicer — and candidates
-// that lose on R alone (the overwhelming majority) skip the tie-break
-// comparison entirely, which is sound because better replaces only on
-// strictly smaller r or on a tie.
+// current EA/LD windows. The r computation is specialized inline for
+// the NORM shape — this fold is the hottest loop of the per-start
+// search — and candidates that lose on R alone (the overwhelming
+// majority) skip the tie-break comparison entirely, which is sound
+// because better replaces only on strictly smaller r or on a tie.
 func (s *slicer) evalCands(start int, best *candidate) {
 	eaStart := s.ea[start]
 	faithful := s.mode == Faithful
-	pure := s.shOK && s.sh == pureShape
 	norm := s.shOK && s.sh == normShape
 	for _, c := range s.ws.cands[start] {
 		end := int(c.end)
@@ -396,16 +514,13 @@ func (s *slicer) evalCands(start int, best *candidate) {
 		}
 		window := ld - eaStart
 		var r float64
-		switch {
-		case pure: // candidate lengths are ≥ 1 by construction
-			r = float64(window-c.sum) / float64(c.l)
-		case norm:
+		if norm {
 			if c.sum == 0 {
 				r = math.Inf(1)
 			} else {
 				r = float64(window-c.sum) / float64(c.sum)
 			}
-		default:
+		} else {
 			r = s.metric.R(window, int(c.l), c.sum)
 		}
 		if best.valid && r > best.r {
@@ -432,8 +547,7 @@ func (s *slicer) runDP(start int) {
 	ws := s.ws
 	depth := ws.depth
 	W := depth + 1
-	ws.tick++
-	tick := ws.tick
+	tick := ws.nextTick()
 	ws.touched = ws.touched[:0]
 	ws.stamp[start] = tick
 	ws.touched = append(ws.touched, int32(start))
@@ -468,17 +582,8 @@ func (s *slicer) runDP(start int) {
 					ws.cell[uc] = tick
 					ws.maxC[uc] = tot
 					ws.par[uc] = int32(v)
-					if ws.stamp[u] != tick {
-						ws.stamp[u] = tick
+					if ws.widen(u, l+1, tick) {
 						ws.touched = append(ws.touched, int32(u))
-						ws.lo[u], ws.hi[u] = l+1, l+1
-					} else {
-						if l+1 < ws.lo[u] {
-							ws.lo[u] = l + 1
-						}
-						if l+1 > ws.hi[u] {
-							ws.hi[u] = l + 1
-						}
 					}
 				} else if tot > ws.maxC[uc] {
 					ws.maxC[uc] = tot
@@ -516,22 +621,26 @@ func (s *slicer) collectCands(start int) {
 	ws.valid[start] = true
 }
 
-// reconstruct recovers the winning chain by walking the parent table of
-// the start's DP, re-running it first unless it is the one still in the
-// workspace tables. A cached candidate's DP re-run is bit-identical to
-// the run that produced it: its validity guarantees no task it reaches
-// was assigned since.
+// reconstruct recovers the winning chain of the per-start search by
+// walking the parent table of the start's DP, re-running it first unless
+// it is the one still in the workspace tables. A cached candidate's DP
+// re-run is bit-identical to the run that produced it: its validity
+// guarantees no task it reaches was assigned since.
 func (s *slicer) reconstruct(start, end, length int) []int {
-	ws := s.ws
-	if ws.dpStart != start {
+	if s.ws.dpStart != start {
 		s.runDP(start)
 	}
-	W := ws.depth + 1
+	return s.chainTo(end, length)
+}
+
+// chainTo walks the parent table back from cell (end, length).
+func (s *slicer) chainTo(end, length int) []int {
+	W := s.ws.depth + 1
 	chain := make([]int, length)
 	v, l := end, length
 	for l > 0 {
 		chain[l-1] = v
-		v, l = int(ws.par[v*W+l]), l-1
+		v, l = int(s.ws.par[v*W+l]), l-1
 	}
 	return chain
 }

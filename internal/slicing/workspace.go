@@ -24,6 +24,12 @@ type cand struct {
 // shrinks. A Workspace is not safe for concurrent use — pool instances
 // (pipeline.BuildScratch does) instead of sharing one.
 //
+// The two chain searches of findCriticalChain share the DP tables. The
+// multi-source DP of the PURE-shaped metrics keeps key = EA(start) + Σĉ
+// in maxC and the chain's start in src, and uses no candidate store; the
+// per-start DP of the other metrics keeps Σĉ in maxC and fills valid,
+// cands and reach. Each table is grown on the first build that needs it.
+//
 // Nothing reachable from the returned *Assignment ever aliases workspace
 // memory: all assignment fields are freshly allocated on every call, so
 // assignments stay immutable when the workspace is reused.
@@ -37,19 +43,20 @@ type Workspace struct {
 	cands [][]cand
 	reach [][]uint64 // reach[s]: bitset of tasks the DP from s touched
 
-	// DP scratch for one start at a time. Tables are allocated flat
+	// DP scratch for one DP at a time. Tables are allocated flat
 	// (n×(depth+1)) and cells are claimed lazily via visit stamps (stamp
 	// per node, cell per (node, length) entry), with lo/hi bracketing
 	// each reached node's set lengths, so a DP touches only the cells it
 	// reaches and allocates nothing.
 	maxC    []rtime.Time
 	par     []int32
+	src     []int32 // multi-source DP only: the start of each cell's chain
 	stamp   []uint32
 	cell    []uint32
 	lo, hi  []int32
 	tick    uint32
 	touched []int32
-	dpStart int // start of the last DP run this round; -1 when stale
+	dpStart int // start of the last per-start DP this round; -1 when stale
 
 	// Per-build slicer state.
 	assigned []bool
@@ -76,34 +83,38 @@ func (ws *Workspace) Distribute(g *taskgraph.Graph, est []rtime.Time, m int, met
 	return distribute(ws, g, est, m, metric, params)
 }
 
-// prepare sizes the workspace for graph g and invalidates every
-// candidate list. A completed build leaves none valid (each list's reach
-// contains its own start, and every task is committed in some round),
-// but a build cut short by an error or a panic can return a workspace
-// with live lists to its pool.
-func (ws *Workspace) prepare(g *taskgraph.Graph) {
+// prepare sizes the workspace for graph g and for the chain search the
+// build runs: the candidate store for the per-start DP, the start table
+// for the multi-source one. A per-start build invalidates every
+// candidate list first. A completed build leaves none valid (each
+// list's reach contains its own start, and every task is committed in
+// some round), but a build cut short by an error or a panic can return
+// a workspace with live lists to its pool.
+func (ws *Workspace) prepare(g *taskgraph.Graph, perStart bool) {
 	n, depth := g.NumTasks(), g.Depth()
-	words := (n + 63) / 64
-	ws.grow(n, depth, words)
+	ws.grow(n, depth)
+	if perStart {
+		ws.growCands(n)
+		for i := 0; i < n; i++ {
+			ws.valid[i] = false
+		}
+	} else {
+		ws.src = growInt32s(ws.src, n*(depth+1))
+	}
 	ws.n, ws.depth = n, depth
 	for i := 0; i < n; i++ {
-		ws.valid[i] = false
 		ws.assigned[i] = false
 	}
 	ws.dpStart = -1
 }
 
-// grow (re)sizes every array for an n-task, depth-deep graph, keeping
-// existing backing stores when they are large enough.
-func (ws *Workspace) grow(n, depth, words int) {
+// grow (re)sizes the arrays both chain searches use for an n-task,
+// depth-deep graph, keeping existing backing stores when they are large
+// enough.
+func (ws *Workspace) grow(n, depth int) {
 	rows := n * (depth + 1)
-	if cap(ws.maxC) < rows {
-		ws.maxC = make([]rtime.Time, rows)
-		ws.par = make([]int32, rows)
-	}
-	ws.maxC = ws.maxC[:rows]
-	ws.par = ws.par[:rows]
-
+	ws.maxC = growTimes(ws.maxC, rows)
+	ws.par = growInt32s(ws.par, rows)
 	if cap(ws.stamp) < n || cap(ws.cell) < rows {
 		// The node and cell stamps share one tick: reset them together
 		// so a zeroed new array can never collide with a surviving one.
@@ -113,12 +124,26 @@ func (ws *Workspace) grow(n, depth, words int) {
 	}
 	ws.stamp = ws.stamp[:n]
 	ws.cell = ws.cell[:rows]
-	if cap(ws.lo) < n {
-		ws.lo = make([]int32, n)
-		ws.hi = make([]int32, n)
-	}
-	ws.lo, ws.hi = ws.lo[:n], ws.hi[:n]
+	ws.lo = growInt32s(ws.lo, n)
+	ws.hi = growInt32s(ws.hi, n)
 
+	ws.ea = growTimes(ws.ea, n)
+	ws.ld = growTimes(ws.ld, n)
+	ws.costs = growTimes(ws.costs, n)
+	ws.bnd = growTimes(ws.bnd, n+1)
+	if cap(ws.assigned) < n {
+		ws.assigned = make([]bool, n)
+	}
+	ws.assigned = ws.assigned[:n]
+	if cap(ws.shares) < n {
+		ws.shares = make([]float64, n)
+	}
+	ws.shares = ws.shares[:n]
+}
+
+// growCands (re)sizes the per-start candidate store and its scratch.
+func (ws *Workspace) growCands(n int) {
+	words := (n + 63) / 64
 	if cap(ws.valid) < n {
 		ws.valid = make([]bool, n)
 	}
@@ -139,19 +164,6 @@ func (ws *Workspace) grow(n, depth, words int) {
 		}
 		ws.reach[i] = ws.reach[i][:words]
 	}
-
-	ws.ea = growTimes(ws.ea, n)
-	ws.ld = growTimes(ws.ld, n)
-	ws.costs = growTimes(ws.costs, n)
-	ws.bnd = growTimes(ws.bnd, n+1)
-	if cap(ws.assigned) < n {
-		ws.assigned = make([]bool, n)
-	}
-	ws.assigned = ws.assigned[:n]
-	if cap(ws.shares) < n {
-		ws.shares = make([]float64, n)
-	}
-	ws.shares = ws.shares[:n]
 	if cap(ws.dirty) < words {
 		ws.dirty = make([]uint64, words)
 	}
@@ -159,6 +171,44 @@ func (ws *Workspace) grow(n, depth, words int) {
 	if cap(ws.touched) < n {
 		ws.touched = make([]int32, 0, n)
 	}
+}
+
+// nextTick starts a DP: it returns a stamp no cell or node holds. When
+// the counter wraps, every stamp is cleared first, since a tick of 0,
+// or one reused after 2³² DPs, would match cells the DP never claimed.
+func (ws *Workspace) nextTick() uint32 {
+	ws.tick++
+	if ws.tick == 0 {
+		clear(ws.stamp[:cap(ws.stamp)])
+		clear(ws.cell[:cap(ws.cell)])
+		ws.tick = 1
+	}
+	return ws.tick
+}
+
+// widen records that the DP stamped tick has a chain of l tasks ending
+// at u, widening u's band of lengths, and reports whether u was
+// unreached before.
+func (ws *Workspace) widen(u int, l int32, tick uint32) bool {
+	if ws.stamp[u] != tick {
+		ws.stamp[u] = tick
+		ws.lo[u], ws.hi[u] = l, l
+		return true
+	}
+	if l < ws.lo[u] {
+		ws.lo[u] = l
+	}
+	if l > ws.hi[u] {
+		ws.hi[u] = l
+	}
+	return false
+}
+
+func growInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 func growTimes(s []rtime.Time, n int) []rtime.Time {

@@ -1,6 +1,7 @@
 package slicing
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -80,5 +81,41 @@ func TestWorkspaceOutputDoesNotAlias(t *testing.T) {
 	}
 	if !reflect.DeepEqual(asg, snap) {
 		t.Fatal("assignment aliases workspace memory")
+	}
+}
+
+// The DP stamp counter wraps after 2³² DPs. Whatever the workspace
+// holds at that point (stamps up to the counter, any table contents),
+// the next build must match a fresh one: no stamp from before the wrap
+// may read as claimed after it.
+func TestWorkspaceTickWrapMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ws := NewWorkspace()
+	for seed := 0; seed < 10; seed++ {
+		g, est := randomWorkload(rng)
+		for _, metric := range allMetrics() {
+			want, err := Distribute(g, est, 3, metric, CalibratedParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ws.Distribute(g, est, 3, metric, CalibratedParams()); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ws.cell {
+				ws.cell[i], ws.maxC[i] = uint32(i%4), 1<<40
+			}
+			for i := range ws.stamp {
+				ws.stamp[i] = uint32(i % 4)
+			}
+			ws.tick = math.MaxUint32
+			got, err := ws.Distribute(g, est, 3, metric, CalibratedParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d %s: build across the stamp wrap diverged\nfresh: %v\nwrap:  %v",
+					seed, metric.Name(), want.Chains, got.Chains)
+			}
+		}
 	}
 }
