@@ -80,8 +80,9 @@ degrade:
 
 # Same-answers check: builds BASE's cmd/sweep (default HEAD~1) in a
 # temporary git worktree and fails unless the margins, faults, degrade,
-# sched and optgap studies print byte-identical output on both. Not a
-# CI step: a change that alters study output on purpose fails it.
+# sched, optgap, mode and adaptn studies print byte-identical output on
+# both. Not a CI step: a change that alters study output on purpose
+# fails it.
 # Usage: make study-identity [BASE=<rev>]
 study-identity:
 	sh scripts/study-identity.sh $(BASE)
@@ -109,9 +110,9 @@ bench-serve:
 
 # Native fuzzers: the checkpoint-journal parser, the workload reader
 # (plain, release-aware, and its canonical fast path against
-# encoding/json), the chaos scenario parser, and the slicer's
-# multi-source chain search against its per-start reference, each
-# briefly past their checked-in seed corpora.
+# encoding/json), the chaos scenario parser, and the slicer's chain
+# selection, every round of every metric against exhaustive
+# enumeration, each briefly past their checked-in seed corpora.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseJournal$$' -fuzztime=10s ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWorkload$$' -fuzztime=10s ./internal/graphio/

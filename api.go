@@ -51,7 +51,11 @@ type (
 
 // Deadline distribution types.
 type (
-	// Metric is a critical-path metric for the slicing technique.
+	// Metric is a critical-path metric for the slicing technique. The
+	// set is closed: the constructors below and MetricByName return the
+	// metrics there are, and no type outside the slicing package can
+	// implement it, because the slicer's chain search is exact only for
+	// the two R rules those metrics follow (PURE's and NORM's).
 	Metric = slicing.Metric
 	// Params are the adaptive-metric tunables.
 	Params = slicing.Params

@@ -126,6 +126,12 @@ type Env struct {
 // does two jobs: it ranks candidate chains (R — lower means more
 // critical, so the chain is sliced earlier) and it apportions a chain's
 // window into per-task relative-deadline shares.
+//
+// The set of metrics is closed: PURE, NORM, AdaptG, AdaptL, AdaptR,
+// AdaptN and Fixed. Each follows one of two shapes (PURE's equal laxity
+// shares or NORM's proportional ones), and the slicer's chain searches
+// are exact only for those two R rules, so the interface carries an
+// unexported method that no type outside this package can implement.
 type Metric interface {
 	// Name returns the metric's display name (e.g. "ADAPT-L").
 	Name() string
@@ -140,6 +146,8 @@ type Metric interface {
 	// window and the tasks' virtual costs. Shares may come out negative
 	// for over-constrained windows; the slicer clamps them at zero.
 	Shares(window rtime.Time, costs []rtime.Time) []float64
+	// laxityShape returns the shape of the metric's R and Shares rules.
+	laxityShape() shape
 }
 
 // shape factors the two laxity-apportioning rules shared by the metrics:
@@ -208,6 +216,7 @@ func (m *baseMetric) R(w rtime.Time, n int, s rtime.Time) float64 {
 func (m *baseMetric) Shares(w rtime.Time, costs []rtime.Time) []float64 {
 	return m.shape.shares(w, costs)
 }
+func (m *baseMetric) laxityShape() shape { return m.shape }
 
 func identityCosts(env *Env) []rtime.Time {
 	return append([]rtime.Time(nil), env.Est...)

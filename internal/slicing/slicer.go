@@ -3,6 +3,7 @@ package slicing
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/rtime"
 	"repro/internal/taskgraph"
@@ -105,14 +106,13 @@ func (a *Assignment) Validate(g *taskgraph.Graph) error {
 // slicer carries one Distribute invocation. All working memory lives in
 // the workspace; the slicer itself only binds the invocation's inputs.
 type slicer struct {
-	g      *taskgraph.Graph
-	metric Metric
-	mode   Mode
-	est    []rtime.Time // c̄, the WCET estimates
-	vc     []rtime.Time // ĉ, the metric's virtual costs
-	n      int
-	topo   []int
-	ws     *Workspace
+	g    *taskgraph.Graph
+	mode Mode
+	est  []rtime.Time // c̄, the WCET estimates
+	vc   []rtime.Time // ĉ, the metric's virtual costs
+	n    int
+	topo []int
+	ws   *Workspace
 	// assigned/ea/ld alias workspace arrays. In Consistent mode ea/ld
 	// are the ASAP/ALAP corridors recomputed every round; in Faithful
 	// mode they hold the recorded boundary values of Figure 1's attach
@@ -123,17 +123,15 @@ type slicer struct {
 	asg      *Assignment
 	// left is |Π|, the number of tasks not yet sliced.
 	left int
-	// sh devirtualizes the metric's R/Shares rules when the metric is
-	// one of the package's shape-based ones (all built-ins are); pure
-	// marks the PURE-shaped ones, whose chain search is multi-source.
-	sh   shape
-	shOK bool
-	pure bool
+	// sh is the metric's shape: it picks the chain search and the share
+	// rule.
+	sh shape
 }
 
 // Distribute runs the SLICING algorithm (Figure 1) over graph g with the
 // given WCET estimates, platform size m, metric, and parameters. Every
-// output task must carry an end-to-end deadline.
+// output task must carry an end-to-end deadline, and no estimate may be
+// negative.
 //
 // The constraint bookkeeping of steps 5–12 (attaching the remaining
 // tasks to the sliced spine) is implemented transitively: before each
@@ -150,33 +148,44 @@ func Distribute(g *taskgraph.Graph, est []rtime.Time, m int, metric Metric, para
 
 // distribute is Distribute bound to a workspace.
 func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metric Metric, params Params) (*Assignment, error) {
+	var s slicer
+	if err := s.init(ws, g, est, m, metric, params); err != nil {
+		return nil, err
+	}
+	return s.run(s.findCriticalChain)
+}
+
+// init checks Distribute's inputs and sets up step 1 of Figure 1.
+func (s *slicer) init(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metric Metric, params Params) error {
 	if !g.Frozen() {
-		return nil, fmt.Errorf("slicing: graph must be frozen")
+		return fmt.Errorf("slicing: graph must be frozen")
 	}
 	if len(est) != g.NumTasks() {
-		return nil, fmt.Errorf("slicing: %d estimates for %d tasks", len(est), g.NumTasks())
+		return fmt.Errorf("slicing: %d estimates for %d tasks", len(est), g.NumTasks())
 	}
 	if m <= 0 {
-		return nil, fmt.Errorf("slicing: system size m=%d", m)
+		return fmt.Errorf("slicing: system size m=%d", m)
+	}
+	for i, c := range est {
+		if c < 0 {
+			return fmt.Errorf("slicing: task %d has negative estimate %d", i, c)
+		}
 	}
 	for _, out := range g.Outputs() {
 		if !g.Task(out).ETEDeadline.IsSet() {
-			return nil, fmt.Errorf("slicing: output task %d has no end-to-end deadline", out)
+			return fmt.Errorf("slicing: output task %d has no end-to-end deadline", out)
 		}
 	}
 
 	env := &Env{G: g, Est: est, M: m, Params: params}
 	n := g.NumTasks()
-	vc := metric.VirtualCosts(env)
-	bm, shOK := metric.(*baseMetric)
-	pure := shOK && bm.shape == pureShape
-	ws.prepare(g, !pure)
-	s := &slicer{
+	sh := metric.laxityShape()
+	ws.prepare(g, sh == pureShape)
+	*s = slicer{
 		g:        g,
-		metric:   metric,
 		mode:     params.Mode,
 		est:      est,
-		vc:       vc,
+		vc:       metric.VirtualCosts(env),
 		n:        n,
 		topo:     g.TopoOrder(),
 		ws:       ws,
@@ -190,11 +199,7 @@ func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metr
 			RelDeadline: make([]rtime.Time, n),
 			MetricName:  metric.Name(),
 		},
-		shOK: shOK,
-		pure: pure,
-	}
-	if shOK {
-		s.sh = bm.shape
+		sh: sh,
 	}
 	for i := range s.asg.Arrival {
 		s.asg.Arrival[i] = rtime.Unset
@@ -216,19 +221,22 @@ func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metr
 			s.ld[out] = g.Task(out).ETEDeadline
 		}
 	}
+	return nil
+}
 
+// run executes the rounds of Figure 1 (steps 2–13), each slicing the
+// chain find returns: findCriticalChain, or a reference search in the
+// package's tests.
+func (s *slicer) run(find func() ([]int, float64, bool)) (*Assignment, error) {
 	for s.left > 0 {
 		if s.mode == Consistent {
 			s.computeBounds()
 		}
-		chain, r, ok := s.findCriticalChain()
+		chain, r, ok := find()
 		if !ok {
 			return nil, fmt.Errorf("slicing: internal error: no candidate chain with %d tasks unassigned", s.left)
 		}
 		s.distribute(chain)
-		if !s.pure {
-			s.ws.invalidateChain(chain)
-		}
 		if s.mode == Faithful {
 			s.attach(chain)
 		}
@@ -240,12 +248,12 @@ func distribute(ws *Workspace, g *taskgraph.Graph, est []rtime.Time, m int, metr
 	// Flag over-constrained outcomes: empty windows, or overlapping
 	// windows of precedence-related tasks (possible only when E-T-E
 	// deadlines cannot accommodate the workload).
-	for i := 0; i < n; i++ {
+	for i := 0; i < s.n; i++ {
 		if s.asg.RelDeadline[i] <= 0 {
 			s.asg.OverConstrained = true
 		}
 	}
-	for _, arc := range g.Arcs() {
+	for _, arc := range s.g.Arcs() {
 		if s.asg.AbsDeadline[arc.From] > s.asg.Arrival[arc.To] {
 			s.asg.OverConstrained = true
 		}
@@ -332,70 +340,30 @@ func (c *candidate) better(b *candidate) bool {
 	return b.end < c.end
 }
 
-// findCriticalChain implements Step 3: a sweep over the unassigned
-// subgraph that finds the chain minimizing the metric value R. A chain
-// may start and end at any unassigned task; its end-to-end window is
-// [EA(start), LD(end)]. For each start and (node, length) the search
-// keeps the chain of maximum Σĉ (total virtual cost), which is the
-// minimum-R chain of its (start, end, length) wherever R does not rise
-// with Σĉ:
+// findCriticalChain implements Step 3: it finds the chain of the
+// unassigned subgraph with the least metric value R, candidate.better
+// deciding ties. A chain may start at any unassigned task whose arrival
+// is known and end at any unassigned task whose deadline is known (in
+// Consistent mode every task qualifies); its end-to-end window is
+// [EA(start), LD(end)]. Both searches are exact, on every window:
 //
 //   - PURE-shaped metrics (PURE, ADAPT-G, ADAPT-L, ADAPT-R):
-//     R = (window − Σĉ)/length always falls as Σĉ grows, and across
-//     starts it falls as EA(start) + Σĉ grows, so one multi-source DP
-//     per round serves every start at once (pureChain);
-//   - NORM-shaped metrics (NORM, ADAPT-N): R = window/Σĉ − 1 falls on a
-//     positive window, is flat on a zero one (the tie-break then prefers
-//     the larger Σĉ) and rises on a negative one. R is a ratio, so no
-//     such reduction over starts holds: these metrics, and caller-defined
-//     ones, run one DP per start.
-//
-// In Consistent mode with positive estimates no chain whose window is
-// ≤ 0 is the minimum: LD(start) ≤ LD(end) minus the estimates of the
-// chain's later tasks, so the single-task chain at its own start has a
-// strictly smaller window over a no larger Σĉ, hence a strictly smaller
-// R, and the DP keeps every length-1 candidate. The selection is exact
-// there. A zero estimate breaks the strict step (the slicer may then
-// take a shorter chain of equal R than the length tie-break prefers),
-// and Faithful mode has no LD propagation: on a window ≤ 0 its
-// NORM-shaped selection can miss the minimum R. Either way the round
-// over-constrains whichever chain is taken. The selection is kept as it
-// is, since changing it would move the golden tables that cross such
-// corridors; TestChainSelectionMatchesExhaustive pins all of this
-// against enumeration.
-//
-// The per-start DP is window-free, so its candidate lists are cached
-// per start in the workspace and only recomputed for starts whose
-// reachable set intersects a chain committed since (the EA/LD windows,
-// which do change every round, are applied at evaluation time).
+//     R = (LD(end) − (EA(start) + Σĉ))/length, so one multi-source DP
+//     over (node, length) cells serves every start at once (pureChain);
+//   - NORM-shaped metrics (NORM, ADAPT-N): R = window/Σĉ − 1 is a
+//     ratio, minimized by Dinkelbach iteration over a per-node DP
+//     (normChain).
 func (s *slicer) findCriticalChain() ([]int, float64, bool) {
-	if s.pure {
+	if s.sh == pureShape {
 		return s.pureChain()
 	}
-	var best candidate
-	ws := s.ws
-	for start := 0; start < s.n; start++ {
-		if s.assigned[start] {
-			continue
-		}
-		if s.mode == Faithful && !s.ea[start].IsSet() {
-			continue // Figure 1: chains begin at recorded arrivals
-		}
-		if !ws.valid[start] {
-			s.runDP(start)
-			s.collectCands(start)
-		}
-		s.evalCands(start, &best)
-	}
-	if !best.valid {
-		return nil, 0, false
-	}
-	return s.reconstruct(best.start, best.end, best.nTasks), best.r, true
+	return s.normChain()
 }
 
 // pureChain is findCriticalChain for the PURE-shaped metrics: one DP
 // over the unassigned subgraph, seeded at every eligible start with
-// key = EA(start) + ĉ(start), finds the chain the per-start DPs would.
+// key = EA(start) + ĉ(start), finds the chain one DP per start would
+// (the package's tests keep that search as a reference).
 //
 // Why it is exact. R = (LD(end) − key)/l with key = EA(start) + Σĉ, so
 // for a fixed (end, l) R falls as key rises: strictly, since keys are
@@ -408,14 +376,14 @@ func (s *slicer) findCriticalChain() ([]int, float64, bool) {
 // best chain into (u, l+1) extends the best chain of some (v, l). Nodes
 // are relaxed in topo order and a cell is replaced only on a strict
 // improvement, so among equal tuples the topo-earliest predecessor
-// wins. That is the per-start DP's own tie-break, and the winner's path
+// wins. That is a per-start DP's own tie-break, and the winner's path
 // is the one its start's DP reconstructs. Each cell is scored once its
 // task is final; candidate.better is a strict total order over cells of
 // distinct (end, l), so the order cells are scored in cannot change the
 // winner.
 //
 // Within a round Σĉ = key − EA(start), so maxC holds key and src the
-// start. The search neither fills nor reads the candidate store.
+// start.
 func (s *slicer) pureChain() ([]int, float64, bool) {
 	ws := s.ws
 	depth := ws.depth
@@ -496,141 +464,226 @@ func (s *slicer) pureChain() ([]int, float64, bool) {
 	return s.chainTo(best.end, best.nTasks), best.r, true
 }
 
-// evalCands folds start's (exact) candidate list into best under the
-// current EA/LD windows. The r computation is specialized inline for
-// the NORM shape — this fold is the hottest loop of the per-start
-// search — and candidates that lose on R alone (the overwhelming
-// majority) skip the tie-break comparison entirely, which is sound
-// because better replaces only on strictly smaller r or on a tie.
-func (s *slicer) evalCands(start int, best *candidate) {
-	eaStart := s.ea[start]
+// normChain is findCriticalChain for the NORM-shaped metrics. R =
+// W/Σĉ − 1 with W = LD(end) − EA(start), so the least R is the least
+// ratio W/Σĉ over chains with Σĉ > 0: a fractional program, which
+// Dinkelbach's parametric method solves with a few longest-path passes.
+//
+// Each pass fixes λ = W_λ/Σĉ_λ, the ratio of some chain, and walks the
+// unassigned subgraph in topo order keeping, per node v, the chain that
+// maximizes key = Σĉ_λ·EA(start) + W_λ·Σĉ. Its residual Σĉ_λ·LD(v) − key
+// = Σĉ_λ·W − W_λ·Σĉ is negative exactly when its ratio is below λ, and
+// no other chain into v has a smaller residual. If some node's residual
+// is negative, the least such ratio becomes λ and the walk repeats: λ
+// falls strictly, over finitely many chains. Otherwise no chain beats
+// λ, which some chain attains, so λ is the least ratio and the chains
+// of least R are those of residual 0. The first λ is the least ratio
+// over single-task chains, or +Inf (1/0, under which key is Σĉ) when no
+// single task is a chain of positive cost.
+//
+// Ties. Appending a task adds the same amount to the key, length and Σĉ
+// of every chain into it, so the per-node lexicographic best of (key,
+// larger first; length, larger first; Σĉ, larger first; start, lower
+// first) composes: the best chain into u extends the best chain into
+// one of its predecessors. The chains of residual 0 into v share the
+// largest key, and among them that order is candidate.better's, so the
+// winner is the candidate.better-best node of residual 0. A slot is
+// replaced only on a strict improvement and nodes are relaxed in topo
+// order, so on equal tuples the topo-earliest predecessor wins, as in a
+// DP per start; where W_λ > 0 each chain of least R has the largest Σĉ
+// of its (start, end, length), so that DP reconstructs the same path.
+//
+// A zero-cost chain has R = +Inf. It is a candidate only when no chain
+// of positive cost is, and it must not displace one, since its
+// extensions differ. Each node therefore keeps a second slot for
+// zero-cost chains, which feed the slots of its successors. At λ = +Inf
+// every zero-cost key is 0, so that slot holds the longest zero-cost
+// chain (the lowest start on ties); if no chain of positive cost can
+// end anywhere, the best of those wins.
+//
+// Keys, residuals and ratio comparisons are exact 128-bit integers
+// wherever times and sums stay below 2⁵², as pureChain assumes; 64-bit
+// products overflow once Σĉ_λ·EA passes 2⁶³. A new λ must also pass a
+// direct ratio comparison, exact for any int64 operands, so λ falls
+// strictly and the loop ends even on inputs outside that envelope.
+func (s *slicer) normChain() ([]int, float64, bool) {
+	ws := s.ws
 	faithful := s.mode == Faithful
-	norm := s.shOK && s.sh == normShape
-	for _, c := range s.ws.cands[start] {
-		end := int(c.end)
-		ld := s.ld[end]
-		if faithful && !ld.IsSet() {
+	lw, lc := rtime.Time(1), rtime.Time(0) // λ = lw/lc, +Inf until a chain sets it
+	for _, v := range s.topo {
+		c := s.vc[v]
+		if s.assigned[v] || c == 0 || faithful && (!s.ea[v].IsSet() || !s.ld[v].IsSet()) {
 			continue
 		}
-		window := ld - eaStart
-		var r float64
-		if norm {
-			if c.sum == 0 {
-				r = math.Inf(1)
-			} else {
-				r = float64(window-c.sum) / float64(c.sum)
-			}
-		} else {
-			r = s.metric.R(window, int(c.l), c.sum)
-		}
-		if best.valid && r > best.r {
-			continue
-		}
-		cand := candidate{r: r, nTasks: int(c.l), sumC: c.sum, start: start, end: end, valid: true}
-		if best.better(&cand) {
-			*best = cand
+		if w := s.ld[v] - s.ea[v]; lc == 0 || ratioLess(w, c, lw, lc) {
+			lw, lc = w, c
 		}
 	}
-}
-
-// runDP runs the per-start longest-chain DP into the workspace's flat
-// tables: maxC[v·W+l] is the maximum Σĉ over chains of length l from
-// start to v through unassigned tasks, par the matching predecessor.
-// Cells are claimed lazily through a per-cell visit stamp and each
-// reached node carries its [lo, hi] band of set lengths, so the DP
-// initializes nothing up front, scans no unset cells outside the bands,
-// and allocates nothing. Nodes are relaxed in topo order (a node's
-// cells are final before its own band is scanned), and for equal sums
-// the topo-earliest predecessor wins — the same tie-break the dense
-// formulation had.
-func (s *slicer) runDP(start int) {
-	ws := s.ws
-	depth := ws.depth
-	W := depth + 1
-	tick := ws.nextTick()
-	ws.touched = ws.touched[:0]
-	ws.stamp[start] = tick
-	ws.touched = append(ws.touched, int32(start))
-	ws.lo[start], ws.hi[start] = 1, 1
-	c0 := start*W + 1
-	ws.maxC[c0] = s.vc[start]
-	ws.par[c0] = -1
-	ws.cell[c0] = tick
-
-	for _, v := range s.topo {
-		if ws.stamp[v] != tick || s.assigned[v] {
-			continue
-		}
-		row := v * W
-		hi := ws.hi[v]
-		if hi >= int32(depth) {
-			hi = int32(depth) - 1 // targets sit at l+1 ≤ depth
-		}
-		for l := ws.lo[v]; l <= hi; l++ {
-			cell := row + int(l)
-			if ws.cell[cell] != tick {
-				continue // a hole in the band: no chain of this length
+	for {
+		tick := ws.nextTick()
+		var best candidate
+		var bestSlot int
+		var nw, nc rtime.Time // the least ratio below λ so far; nc == 0 while none
+		for _, v := range s.topo {
+			if s.assigned[v] {
+				continue
 			}
-			cur := ws.maxC[cell]
-			for _, u := range s.g.Succs(v) {
-				if s.assigned[u] {
+			c := s.vc[v]
+			inc := mul128(lw, c)
+			pos, zero := &ws.slots[2*v], &ws.slots[2*v+1]
+			// Append v to the chains that reached it. A zero-cost chain
+			// reaches v only if c is 0.
+			if pos.tick == tick {
+				pos.key, pos.l, pos.sum = pos.key.add(inc), pos.l+1, pos.sum+c
+			}
+			if zero.tick == tick {
+				zero.l++
+			}
+			if !faithful || s.ea[v].IsSet() {
+				// The chain [v] ties an appended one only on key, and
+				// then loses on length.
+				seed := slot{key: mul128(lc, s.ea[v]).add(inc), sum: c, l: 1, start: int32(v), par: -1, tick: tick}
+				sl := pos
+				if c == 0 {
+					sl = zero
+				}
+				if sl.tick != tick || seed.key.cmp(sl.key) > 0 {
+					*sl = seed
+				}
+			}
+			if ld := s.ld[v]; !faithful || ld.IsSet() {
+				if pos.tick == tick {
+					w := ld - s.ea[pos.start]
+					// The residual's sign is that of Σĉ_λ·LD(v) − key.
+					switch res := mul128(lc, ld).cmp(pos.key); {
+					case res < 0:
+						// The ratio test repeats the residual's verdict
+						// inside the envelope and keeps λ falling outside it.
+						if ratioLess(w, pos.sum, lw, lc) && (nc == 0 || ratioLess(w, pos.sum, nw, nc)) {
+							nw, nc = w, pos.sum
+						}
+					case res == 0 && nc == 0:
+						found := candidate{r: float64(w-pos.sum) / float64(pos.sum), nTasks: int(pos.l), sumC: pos.sum, start: int(pos.start), end: v, valid: true}
+						if best.better(&found) {
+							best, bestSlot = found, 2*v
+						}
+					}
+				}
+				if lc == 0 && zero.tick == tick {
+					found := candidate{r: math.Inf(1), nTasks: int(zero.l), start: int(zero.start), end: v, valid: true}
+					if best.better(&found) {
+						best, bestSlot = found, 2*v+1
+					}
+				}
+			}
+			succs := s.g.Succs(v)
+			for z, sl := range [2]*slot{pos, zero} {
+				if sl.tick != tick {
 					continue
 				}
-				uc := u*W + int(l) + 1
-				tot := cur + s.vc[u]
-				if ws.cell[uc] != tick {
-					ws.cell[uc] = tick
-					ws.maxC[uc] = tot
-					ws.par[uc] = int32(v)
-					if ws.widen(u, l+1, tick) {
-						ws.touched = append(ws.touched, int32(u))
+				in := *sl
+				in.par = int32(2*v + z)
+				for _, u := range succs {
+					if s.assigned[u] {
+						continue
 					}
-				} else if tot > ws.maxC[uc] {
-					ws.maxC[uc] = tot
-					ws.par[uc] = int32(v)
+					t := &ws.slots[2*u]
+					if z == 1 && s.vc[u] == 0 {
+						t = &ws.slots[2*u+1]
+					}
+					if t.tick != tick || in.beats(t) {
+						*t = in
+					}
 				}
 			}
 		}
-	}
-	ws.dpStart = start
-}
-
-// collectCands snapshots the DP's reached (end, length, Σĉ) triples into
-// the start's cached candidate list and records the reached-task bitset
-// that governs the list's invalidation.
-func (s *slicer) collectCands(start int) {
-	ws := s.ws
-	W := ws.depth + 1
-	tick := ws.tick
-	rb := ws.reach[start]
-	for i := range rb {
-		rb[i] = 0
-	}
-	cl := ws.cands[start][:0]
-	for _, v32 := range ws.touched {
-		v := int(v32)
-		rb[v>>6] |= 1 << (uint(v) & 63)
-		row := v * W
-		for l := ws.lo[v]; l <= ws.hi[v]; l++ {
-			if cell := row + int(l); ws.cell[cell] == tick {
-				cl = append(cl, cand{end: v32, l: l, sum: ws.maxC[cell]})
+		if nc == 0 {
+			if !best.valid {
+				return nil, 0, false
 			}
+			return s.slotChain(bestSlot), best.r, true
 		}
+		lw, lc = nw, nc
 	}
-	ws.cands[start] = cl
-	ws.valid[start] = true
 }
 
-// reconstruct recovers the winning chain of the per-start search by
-// walking the parent table of the start's DP, re-running it first unless
-// it is the one still in the workspace tables. A cached candidate's DP
-// re-run is bit-identical to the run that produced it: its validity
-// guarantees no task it reaches was assigned since.
-func (s *slicer) reconstruct(start, end, length int) []int {
-	if s.ws.dpStart != start {
-		s.runDP(start)
+// slot is one entry of normChain's per-node DP: the best chain into a
+// node within one cost class (Σĉ > 0, or Σĉ = 0). Until the node's
+// turn in a pass it holds the best chain into a predecessor, and the
+// node is appended at its turn.
+type slot struct {
+	key   i128 // Σĉ_λ·EA(start) + W_λ·Σĉ
+	sum   rtime.Time
+	l     int32
+	start int32
+	par   int32  // the predecessor's slot, 2·node + zero-cost bit; -1 at the start
+	tick  uint32 // the pass that wrote the slot
+}
+
+// beats reports whether a should replace b: key larger, then length
+// larger, then Σĉ larger, then start lower.
+func (a *slot) beats(b *slot) bool {
+	if c := a.key.cmp(b.key); c != 0 {
+		return c > 0
 	}
-	return s.chainTo(end, length)
+	if a.l != b.l {
+		return a.l > b.l
+	}
+	if a.sum != b.sum {
+		return a.sum > b.sum
+	}
+	return a.start < b.start
+}
+
+// slotChain walks normChain's parent links back from slot i.
+func (s *slicer) slotChain(i int) []int {
+	chain := make([]int, s.ws.slots[i].l)
+	for k := len(chain) - 1; k >= 0; k-- {
+		chain[k] = i >> 1
+		i = int(s.ws.slots[i].par)
+	}
+	return chain
+}
+
+// i128 is a signed 128-bit integer in two's complement.
+type i128 struct {
+	hi int64
+	lo uint64
+}
+
+// mul128 returns a·b exactly.
+func mul128(a, b rtime.Time) i128 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	// Mul64 multiplies the operands as unsigned; a negative operand
+	// added 2⁶⁴ times the other one to the high word.
+	if a < 0 {
+		hi -= uint64(b)
+	}
+	if b < 0 {
+		hi -= uint64(a)
+	}
+	return i128{int64(hi), lo}
+}
+
+func (x i128) add(y i128) i128 {
+	lo, carry := bits.Add64(x.lo, y.lo, 0)
+	return i128{x.hi + y.hi + int64(carry), lo}
+}
+
+// cmp returns -1, 0 or +1 as x is less than, equal to or greater than y.
+func (x i128) cmp(y i128) int {
+	switch {
+	case x.hi < y.hi || x.hi == y.hi && x.lo < y.lo:
+		return -1
+	case x == y:
+		return 0
+	}
+	return 1
+}
+
+// ratioLess reports whether w1/c1 < w2/c2, for c1, c2 > 0.
+func ratioLess(w1, c1, w2, c2 rtime.Time) bool {
+	return mul128(w1, c2).cmp(mul128(w2, c1)) < 0
 }
 
 // chainTo walks the parent table back from cell (end, length).
@@ -673,12 +726,7 @@ func (s *slicer) distribute(chain []int) {
 	for i, t := range chain {
 		costs[i] = s.vc[t]
 	}
-	var shares []float64
-	if s.shOK {
-		shares = s.sh.sharesInto(s.ws.shares[:k], window, costs)
-	} else {
-		shares = s.metric.Shares(window, costs)
-	}
+	shares := s.sh.sharesInto(s.ws.shares[:k], window, costs)
 	total := 0.0
 	for i, sh := range shares {
 		if sh < 0 || math.IsNaN(sh) {

@@ -165,6 +165,13 @@ func TestDistributeValidation(t *testing.T) {
 	if _, err := Distribute(g, est, 0, PURE(), DefaultParams()); err == nil {
 		t.Error("m = 0 accepted")
 	}
+	// NORM's R divides by Σĉ, so its chain search assumes no cost is
+	// negative; every metric refuses such estimates alike.
+	for _, metric := range []Metric{PURE(), NORM()} {
+		if _, err := Distribute(g, []rtime.Time{5, -1}, 2, metric, DefaultParams()); err == nil {
+			t.Errorf("%s: negative estimate accepted", metric.Name())
+		}
+	}
 	unfrozen := taskgraph.NewGraph(1)
 	unfrozen.MustAddTask("", c1(5), 0)
 	if _, err := Distribute(unfrozen, []rtime.Time{5}, 1, PURE(), DefaultParams()); err == nil {

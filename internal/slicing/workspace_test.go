@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/wcet"
 )
 
 // allMetrics is the full metric set the workspace must stay exact for:
@@ -84,10 +87,11 @@ func TestWorkspaceOutputDoesNotAlias(t *testing.T) {
 	}
 }
 
-// The DP stamp counter wraps after 2³² DPs. Whatever the workspace
+// The DP stamp counter wraps after 2³² passes. Whatever the workspace
 // holds at that point (stamps up to the counter, any table contents),
 // the next build must match a fresh one: no stamp from before the wrap
-// may read as claimed after it.
+// may read as claimed after it, whether a cell of the multi-source DP
+// or a slot of the NORM-shaped metrics' search.
 func TestWorkspaceTickWrapMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ws := NewWorkspace()
@@ -107,6 +111,9 @@ func TestWorkspaceTickWrapMatchesFresh(t *testing.T) {
 			for i := range ws.stamp {
 				ws.stamp[i] = uint32(i % 4)
 			}
+			for i := range ws.slots {
+				ws.slots[i] = slot{key: i128{hi: 1 << 40}, sum: 1 << 40, l: 1, start: int32(i / 2), par: -1, tick: uint32(i % 4)}
+			}
 			ws.tick = math.MaxUint32
 			got, err := ws.Distribute(g, est, 3, metric, CalibratedParams())
 			if err != nil {
@@ -116,6 +123,37 @@ func TestWorkspaceTickWrapMatchesFresh(t *testing.T) {
 				t.Fatalf("seed %d %s: build across the stamp wrap diverged\nfresh: %v\nwrap:  %v",
 					seed, metric.Name(), want.Chains, got.Chains)
 			}
+		}
+	}
+}
+
+// A fresh-workspace Distribute of a NORM-shaped metric allocates about
+// what an ADAPT-L one does: its chain search needs one slot pair per
+// task and keeps nothing across rounds. On the 120-task seed-11 graph
+// (the one cmd/benchpipe's build/cold-120 plans), NORM and ADAPT-N must
+// stay within a few allocations of ADAPT-L.
+func TestNormDistributeAllocsMatchPure(t *testing.T) {
+	cfg := gen.Default(3)
+	cfg.Seed = 11
+	cfg.MinTasks, cfg.MaxTasks = 120, 120
+	w := gen.MustGenerate(cfg)
+	est, err := wcet.Estimates(w.Graph, w.Platform, wcet.AVG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(metric Metric) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Distribute(w.Graph, est, w.Platform.M(), metric, CalibratedParams()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(AdaptL())
+	for _, metric := range []Metric{NORM(), AdaptN()} {
+		if got := allocs(metric); got > base+8 {
+			t.Errorf("fresh %s Distribute: %.0f allocations, ADAPT-L %.0f", metric.Name(), got, base)
+		} else {
+			t.Logf("fresh %s Distribute: %.0f allocations, ADAPT-L %.0f", metric.Name(), got, base)
 		}
 	}
 }

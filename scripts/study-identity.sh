@@ -6,10 +6,12 @@
 #
 # Builds BASE's cmd/sweep in a temporary git worktree, which is removed
 # on exit, and the working tree's cmd/sweep, then runs both on the
-# margins, faults, degrade, sched and optgap studies at small sample
-# sizes and fails on any difference in their output or exit status. A
-# change that alters a study's output on purpose fails it too, which is
-# why this is a make target and not a CI step.
+# margins, faults, degrade, sched, optgap, mode and adaptn studies at
+# small sample sizes and fails on any difference in their output or
+# exit status. The mode and adaptn studies are the only ones that slice
+# in Faithful mode or with ADAPT-N. A change that alters a study's
+# output on purpose fails it too, which is why this is a make target
+# and not a CI step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,6 +60,8 @@ faults -study faults -graphs 64
 degrade -study degrade -graphs 24 -wtimeout 30s
 sched -study sched -graphs 64
 optgap -study optgap -graphs 64
+mode -study mode -graphs 64
+adaptn -study adaptn -graphs 64
 EOF
 
 exit "$status"
