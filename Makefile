@@ -80,8 +80,9 @@ degrade:
 
 # Same-answers check: builds BASE's cmd/sweep (default HEAD~1) in a
 # temporary git worktree and fails unless the margins, faults, degrade,
-# sched, optgap, mode and adaptn studies print byte-identical output on
-# both. Not a CI step: a change that alters study output on purpose
+# sched, optgap, mode, adaptn and policy studies, and the margins and
+# faults studies under sporadic releases, print byte-identical output
+# on both. Not a CI step: a change that alters study output on purpose
 # fails it.
 # Usage: make study-identity [BASE=<rev>]
 study-identity:

@@ -368,8 +368,9 @@ func DispatchWith(g *Graph, p *Platform, asg *Assignment, policy DispatchPolicy)
 // task i runs for ceil(frac[i]·WCET) units (at least one) while the
 // dispatcher keeps deciding with WCET knowledge. Early completions can
 // both rescue and — via the Graham anomaly — break a schedule. The
-// result is the schedule sim.Inject executes under a trace whose only
-// deviation is ExecScale = frac; misses are judged against asg.
+// result is one run of the time-driven dispatcher (sched.Execute, the
+// run sim.Inject executes) under a trace whose only deviation is
+// ExecScale = frac; misses are judged against asg.
 func DispatchActual(g *Graph, p *Platform, asg *Assignment, frac []float64) (*Schedule, error) {
 	n := g.NumTasks()
 	if len(frac) != n {
@@ -380,17 +381,10 @@ func DispatchActual(g *Graph, p *Platform, asg *Assignment, frac []float64) (*Sc
 			return nil, fmt.Errorf("repro: frac[%d] = %v outside (0, 1]", i, f)
 		}
 	}
-	nominal, err := sched.Dispatch(g, p, asg)
-	if err != nil {
-		return nil, err
-	}
 	tr := faults.ZeroTrace(n, p.M())
 	copy(tr.ExecScale, frac)
-	ir, err := sim.Inject(g, p, asg, nominal, sim.Options{Faults: tr})
-	if err != nil {
-		return nil, err
-	}
-	return ir.Executed, nil
+	s, _, err := sched.Execute(g, p, asg, tr, false, nil)
+	return s, err
 }
 
 // ExactSchedule runs the exact branch-and-bound search over active

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			panic(r)
 		}
 	}()
-	metricName := flag.String("metric", "ADAPT-L", "critical path metric: PURE, NORM, ADAPT-G, ADAPT-L, ADAPT-R")
+	metricName := flag.String("metric", "ADAPT-L", "critical path metric: PURE, NORM, ADAPT-G, ADAPT-L, ADAPT-R, ADAPT-N")
 	wcetName := flag.String("wcet", "avg", "WCET estimation strategy: avg, max, min")
 	schedName := flag.String("sched", "dispatch", "scheduler: dispatch, planner, insert, preempt")
 	serialBus := flag.Bool("serialbus", false, "verify under a serialized (exclusive) bus")

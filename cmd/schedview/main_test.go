@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/slicing"
 )
 
 func TestRunGenerated(t *testing.T) {
@@ -90,5 +92,32 @@ func TestRunBadMetric(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if code := run([]string{"-metric", "MAGIC"}, &out, &errBuf); code != 1 {
 		t.Errorf("exit %d, want 1", code)
+	}
+}
+
+// The -metric usage lists every metric slicing.ByName resolves.
+func TestMetricUsageNamesEveryMetric(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errBuf); code != 2 {
+		t.Fatalf("-h: exit %d, want 2", code)
+	}
+	usage := errBuf.String()
+	const lead = "critical path metric: "
+	start := strings.Index(usage, lead)
+	if start < 0 {
+		t.Fatalf("usage has no -metric list:\n%s", usage)
+	}
+	list, _, _ := strings.Cut(usage[start+len(lead):], " (default")
+	listed := map[string]bool{}
+	for _, name := range strings.Split(list, ", ") {
+		listed[name] = true
+	}
+	for _, m := range append(slicing.Metrics(), slicing.AdaptR(), slicing.AdaptN()) {
+		if _, err := slicing.ByName(m.Name()); err != nil {
+			t.Fatal(err)
+		}
+		if !listed[m.Name()] {
+			t.Errorf("-metric usage %q does not list %s", list, m.Name())
+		}
 	}
 }

@@ -541,13 +541,6 @@ func studyFaults() {
 		sw.graphs)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func studyOverlap() {
 	header("slicing vs overlapping-window baselines (UD/ED)", false)
 	dists := []deadline.Distributor{

@@ -185,10 +185,3 @@ func studyMargins() int {
 	fmt.Fprintln(sw.w, "  (misses are always judged against the originally assigned windows)")
 	return 0
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

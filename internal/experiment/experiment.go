@@ -59,13 +59,13 @@ type Config struct {
 	// Release selects the release model the planned system is judged
 	// under. The zero value (ReleaseSingle) keeps the classic one-shot
 	// evaluation. With ReleaseSporadic, each workload's plan is
-	// additionally replayed over a seeded sporadic release sequence
-	// (sim.ReplayReleases) and counts as a success only when every
-	// release of every task meets its shifted deadline; lateness and
-	// laxity still report the base plan, so the secondary measures stay
-	// comparable across release models. The release sequence of workload
-	// i derives from MasterSeed, so paired comparison across metrics is
-	// preserved.
+	// additionally expanded over a seeded sporadic release sequence
+	// (sim.ExpandPlan), dispatched by Dispatcher, and counts as a
+	// success only when every release of every task meets its shifted
+	// deadline; lateness and laxity still report the base plan, so the
+	// secondary measures stay comparable across release models. The
+	// release sequence of workload i derives from MasterSeed, so paired
+	// comparison across metrics is preserved.
 	Release gen.Release
 }
 
@@ -164,14 +164,23 @@ func runOne(ctx context.Context, cfg Config, idx int) (runOutcome, error) {
 	o.minLaxity = float64(plan.Verdict.MinLaxity)
 	if cfg.Release.Mode == gen.ReleaseSporadic && o.feasible {
 		// A plan that survives one release must also survive the
-		// recurring workload: replay the seeded release sequence and
-		// demote the success when any release misses. The base verdict's
-		// lateness/laxity are kept — they grade the plan, not the draw.
-		rep, _, _, err := sim.ReplayReleases(w.Graph, w.Platform, plan.Assignment, cfg.Release, gcfg.Seed, sim.Options{})
+		// recurring workload: dispatch the seeded release sequence with
+		// the point's own dispatcher and demote the success when any
+		// release misses. The base verdict's lateness/laxity are kept —
+		// they grade the plan, not the draw.
+		eg, easg, _, err := sim.ExpandPlan(w.Graph, plan.Assignment, cfg.Release, gcfg.Seed)
 		if err != nil {
 			return o, err
 		}
-		o.feasible = rep.Valid && len(rep.DeadlineMisses) == 0
+		disp := cfg.Dispatcher
+		if disp.Run == nil {
+			disp = pipeline.TimeDriven()
+		}
+		s, err := disp.Run(eg, w.Platform, easg, nil)
+		if err != nil {
+			return o, err
+		}
+		o.feasible = s.Feasible
 	}
 	return o, nil
 }

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/pipeline"
+	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/slicing"
 	"repro/internal/stats"
 	"repro/internal/wcet"
@@ -233,5 +235,81 @@ func TestRunSporadicRelease(t *testing.T) {
 	// Secondary measures still grade the base plan.
 	if tp.Lateness.N() != single.Lateness.N() {
 		t.Errorf("lateness sample size %d, want %d", tp.Lateness.N(), single.Lateness.N())
+	}
+}
+
+// Under a sporadic release model every row is judged by its own
+// dispatcher: Run's success must equal a count that plans, expands and
+// dispatches each workload of the sample directly, and for the
+// time-driven dispatcher also the released replay's verdict.
+func TestRunSporadicJudgesWithOwnDispatcher(t *testing.T) {
+	dispatchers := []pipeline.Dispatcher{pipeline.TimeDriven(), pipeline.Planner(), pipeline.Insertion(), pipeline.Preemptive()}
+	for _, pol := range sched.Policies {
+		dispatchers = append(dispatchers, pipeline.WithPolicy(pol))
+	}
+	for _, disp := range dispatchers {
+		cfg := smallConfig(slicing.AdaptL())
+		cfg.Release = gen.Release{Mode: gen.ReleaseSporadic, Count: 4, MinGap: 400}
+		cfg.Dispatcher = disp
+		got := Run(cfg)
+		if got.Errors != 0 {
+			t.Fatalf("%s: %d errors", disp.Name, got.Errors)
+		}
+		want, replayed := 0, 0
+		for idx := 0; idx < cfg.NumGraphs; idx++ {
+			gcfg := cfg.Gen
+			gcfg.Seed = gen.SubSeed(cfg.MasterSeed, idx)
+			w := gen.MustGenerate(gcfg)
+			est, err := wcet.Estimates(w.Graph, w.Platform, cfg.WCET)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asg, err := slicing.Distribute(w.Graph, est, w.Platform.M(), cfg.Metric, cfg.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := disp.Run(w.Graph, w.Platform, asg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !one.Feasible {
+				continue
+			}
+			times, err := gen.ReleaseTimes(cfg.Release, gcfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eg, err := gen.ExpandReleases(w.Graph, times)
+			if err != nil {
+				t.Fatal(err)
+			}
+			easg, err := sim.ShiftAssignment(asg, times)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := disp.Run(eg, w.Platform, easg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Feasible {
+				want++
+			}
+			if disp.Name != pipeline.TimeDriven().Name {
+				continue
+			}
+			rep, _, _, err := sim.ReplayReleases(w.Graph, w.Platform, asg, cfg.Release, gcfg.Seed, sim.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Valid && len(rep.DeadlineMisses) == 0 {
+				replayed++
+			}
+		}
+		if got.Success.Succ != want {
+			t.Errorf("%s: %d sporadic successes, %d by its own dispatch", disp.Name, got.Success.Succ, want)
+		}
+		if disp.Name == pipeline.TimeDriven().Name && replayed != want {
+			t.Errorf("time-driven: %d sporadic successes, the released replay accepts %d", want, replayed)
+		}
 	}
 }

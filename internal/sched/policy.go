@@ -46,16 +46,17 @@ func (p Policy) String() string {
 }
 
 // key returns the priority value of task i at instant now under the
-// policy (smaller = more urgent). minC is the task's smallest eligible
-// WCET, used by LLF.
-func (p Policy) key(asg *slicing.Assignment, i int, now, minC rtime.Time) rtime.Time {
+// policy (smaller = more urgent). dl holds the run's absolute deadlines
+// (asg's, unless slack reclamation moved them); minC is the task's
+// smallest eligible WCET, used by LLF.
+func (p Policy) key(asg *slicing.Assignment, dl []rtime.Time, i int, now, minC rtime.Time) rtime.Time {
 	switch p {
 	case DMPolicy:
 		return asg.RelDeadline[i]
 	case FIFOPolicy:
 		return asg.Arrival[i]
 	case LLFPolicy:
-		return asg.AbsDeadline[i] - now - minC
+		return dl[i] - now - minC
 	}
-	return asg.AbsDeadline[i]
+	return dl[i]
 }

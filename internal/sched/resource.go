@@ -10,8 +10,8 @@ import (
 
 // ResourceTable returns a release-time table sized for the largest
 // resource index used by any task (empty when the application uses no
-// exclusive resources). It is exported for the sim package's fault-
-// injected executor, which replays the dispatcher's resource
+// exclusive resources). It is exported for the sim package's reference
+// executor, a test oracle that keeps the dispatcher's resource
 // bookkeeping outside this package.
 func ResourceTable(g *taskgraph.Graph) []rtime.Time {
 	return make([]rtime.Time, numResources(g))

@@ -10,6 +10,14 @@
 // execution times, class eligibility, interprocessor communication cost
 // over the shared bus, and the task's arrival-time constraint. The
 // complexity is O(n²·m) for n tasks and m processors.
+//
+// Dispatch is the run-time counterpart the paper scores every metric
+// with: a work-conserving, non-preemptive time-driven dispatcher with
+// no lookahead. It is the only time-driven dispatcher in the
+// repository. Execute runs it under a fault trace (overruns, processor
+// loss, bus jitter) and optional slack reclamation; sim.Inject and the
+// robustness studies execute plans through it, and with no trace it is
+// Dispatch.
 package sched
 
 import (

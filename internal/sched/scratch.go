@@ -2,6 +2,7 @@ package sched
 
 import (
 	"repro/internal/rtime"
+	"repro/internal/slicing"
 	"repro/internal/taskgraph"
 )
 
@@ -10,9 +11,10 @@ import (
 type ispan struct{ start, end rtime.Time }
 
 // Scratch is the reusable working memory of the schedulers in this
-// package: the dispatcher's ready/landing tables, the list schedulers'
-// ready queues, and the insertion scheduler's timelines. A zero Scratch
-// is ready to use; it grows to the largest (tasks × processors) shape it
+// package: the time-driven dispatcher's ready/landing tables and the
+// state a fault-injected run evolves, the list schedulers' ready
+// queues, and the insertion scheduler's timelines. A zero Scratch is
+// ready to use; it grows to the largest (tasks × processors) shape it
 // has seen. A Scratch is not safe for concurrent use — pool instances
 // (pipeline.BuildScratch does) instead of sharing one.
 //
@@ -27,35 +29,19 @@ type Scratch struct {
 	landing   []rtime.Time // n×m message-landing matrix
 	ready     []int
 	timeline  [][]ispan
+
+	// The time-driven run's evolving state: the deadlines and arrivals
+	// slack reclamation moves, the gate an abort puts on re-dispatch,
+	// and which tasks were aborted.
+	dl, arr, blockedUntil []rtime.Time
+	aborted               []bool
 }
 
 // ensureList sizes the subset every scheduler here shares: idle times,
 // resource release times, predecessor counters, and the ready queue.
 func (ws *Scratch) ensureList(g *taskgraph.Graph, n, m int) {
-	if cap(ws.procFree) < m {
-		ws.procFree = make([]rtime.Time, m)
-	}
-	ws.procFree = ws.procFree[:m]
-	for q := range ws.procFree {
-		ws.procFree[q] = 0
-	}
-
-	maxRes := -1
-	for _, t := range g.Tasks() {
-		for _, r := range t.Resources {
-			if r > maxRes {
-				maxRes = r
-			}
-		}
-	}
-	if cap(ws.resFree) < maxRes+1 {
-		ws.resFree = make([]rtime.Time, maxRes+1)
-	}
-	ws.resFree = ws.resFree[:maxRes+1]
-	for r := range ws.resFree {
-		ws.resFree[r] = 0
-	}
-
+	ws.procFree = zeroed(ws.procFree, m)
+	ws.resFree = zeroed(ws.resFree, numResources(g))
 	if cap(ws.predsLeft) < n {
 		ws.predsLeft = make([]int32, n)
 	}
@@ -67,24 +53,34 @@ func (ws *Scratch) ensureList(g *taskgraph.Graph, n, m int) {
 	ws.ready = ws.ready[:0]
 }
 
-// ensure additionally sizes the dispatcher's done/minC/landing tables.
-func (ws *Scratch) ensure(g *taskgraph.Graph, n, m int) {
+// ensure sizes and resets every table the time-driven dispatcher reads
+// for a run of g under asg: each counter at its task's in-degree, the
+// deadlines and arrivals copied from asg, and the done, abort and
+// landing tables zero. A landing time of 0 is exact because a task's
+// arrival gates it separately.
+func (ws *Scratch) ensure(g *taskgraph.Graph, asg *slicing.Assignment, n, m int) {
 	ws.ensureList(g, n, m)
+	for i := range ws.predsLeft {
+		ws.predsLeft[i] = int32(len(g.Preds(i)))
+	}
+	ws.done = zeroed(ws.done, n)
+	ws.aborted = zeroed(ws.aborted, n)
+	ws.minC = zeroed(ws.minC, n)
+	ws.blockedUntil = zeroed(ws.blockedUntil, n)
+	ws.landing = zeroed(ws.landing, n*m)
+	ws.dl = append(ws.dl[:0], asg.AbsDeadline...)
+	ws.arr = append(ws.arr[:0], asg.Arrival...)
+}
 
-	if cap(ws.done) < n {
-		ws.done = make([]bool, n)
-		ws.minC = make([]rtime.Time, n)
+// zeroed returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	ws.done = ws.done[:n]
-	ws.minC = ws.minC[:n]
-	for i := 0; i < n; i++ {
-		ws.done[i] = false
-	}
-
-	if cap(ws.landing) < n*m {
-		ws.landing = make([]rtime.Time, n*m)
-	}
-	ws.landing = ws.landing[:n*m]
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // timelines returns m empty per-processor timelines, reusing span

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/rtime"
 	"repro/internal/slicing"
@@ -103,8 +104,8 @@ func referenceDispatch(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assign
 				}
 				task := g.Task(i)
 				if bestTask >= 0 {
-					ki := policy.key(asg, i, now, minC[i])
-					kb := policy.key(asg, bestTask, now, minC[bestTask])
+					ki := policy.key(asg, asg.AbsDeadline, i, now, minC[i])
+					kb := policy.key(asg, asg.AbsDeadline, bestTask, now, minC[bestTask])
 					if ki > kb || (ki == kb && i > bestTask) {
 						continue
 					}
@@ -244,6 +245,91 @@ func TestDispatchScratchMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A faulted, reclaiming run dirties every table it shares with the
+// nominal dispatcher: it moves deadlines and arrivals, sets abort gates
+// and flags, and leaves dead processors busy. Interleaved on one
+// Scratch, each nominal run must still equal the frozen reference, and
+// each faulted run must equal the same run on a fresh Scratch.
+func TestFaultedRunsLeaveScratchReusable(t *testing.T) {
+	ws := &Scratch{}
+	var aborted, migrations, reclamations int
+	for ci, cfg := range scratchConfigs() {
+		cfg.OLR = 0.55 // the margins study's laxity, tight enough to miss
+		for seed := int64(0); seed < 8; seed++ {
+			cfg.Seed = seed
+			w := gen.MustGenerate(cfg)
+			est, err := wcet.Estimates(w.Graph, w.Platform, wcet.AVG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asg, err := slicing.Distribute(w.Graph, est, cfg.M, slicing.AdaptR(), slicing.CalibratedParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var span rtime.Time
+			for _, o := range w.Graph.Outputs() {
+				span = max(span, w.Graph.Task(o).ETEDeadline)
+			}
+			tr, err := faults.Scaled(1, seed).Materialize(w.Graph, w.Platform, span)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, freshRun, err := Execute(w.Graph, w.Platform, asg, tr, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aborted += freshRun.Aborted
+			migrations += freshRun.Migrations
+			reclamations += freshRun.Reclamations
+			for _, pol := range Policies {
+				got, gotRun, err := Execute(w.Graph, w.Platform, asg, tr, true, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fresh, got) || !reflect.DeepEqual(freshRun, gotRun) {
+					t.Fatalf("cfg %d seed %d: faulted run on a reused scratch diverged\nfresh: %+v %+v\nreused: %+v %+v",
+						ci, seed, fresh, freshRun, got, gotRun)
+				}
+
+				want, err1 := referenceDispatch(w.Graph, w.Platform, asg, pol)
+				got, err2 := DispatchScratch(w.Graph, w.Platform, asg, pol, ws)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("cfg %d seed %d %v: nominal run: %v / %v", ci, seed, pol, err1, err2)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("cfg %d seed %d %v: nominal run after a faulted one diverged from reference\nref:  %+v\ngot:  %+v",
+						ci, seed, pol, want, got)
+				}
+			}
+		}
+	}
+	if aborted == 0 || migrations == 0 || reclamations == 0 {
+		t.Errorf("corpus left a fault path unexercised: %d aborts, %d migrations, %d reclamations",
+			aborted, migrations, reclamations)
+	}
+
+	// A task aborted on its only processor never completes, so its
+	// abort flag outlives the run; completing it in the next run on the
+	// same scratch is no migration.
+	g := taskgraph.NewGraph(1)
+	g.MustAddTask("a", []rtime.Time{10}, 0)
+	g.Task(0).ETEDeadline = 40
+	g.MustFreeze()
+	p := arch.Homogeneous(1)
+	asg, err := slicing.Distribute(g, []rtime.Time{10}, 1, slicing.PURE(), slicing.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := faults.ZeroTrace(1, 1)
+	lost.DownAt[0] = 5
+	if s, run, err := Execute(g, p, asg, lost, false, ws); err != nil || run.Aborted != 1 || s.Placements[0].Proc >= 0 {
+		t.Fatalf("lost processor: %+v %+v %v, want task 0 aborted and unplaced", s, run, err)
+	}
+	if _, run, err := Execute(g, p, asg, faults.ZeroTrace(1, 1), false, ws); err != nil || run.Migrations != 0 {
+		t.Errorf("run after a stranded abort: %+v %v, want no migration", run, err)
 	}
 }
 

@@ -38,26 +38,37 @@ func ShiftAssignment(asg *slicing.Assignment, times []rtime.Time) (*slicing.Assi
 	return out, nil
 }
 
-// ExpandSystem materializes a sporadically released system as a single
-// one-shot system: the base graph g is expanded over the seeded release
-// times of rel (gen.ExpandReleases, release-major), every release runs
-// under the base window assignment shifted by its release time, and the
-// expanded system is scheduled by the time-driven EDF dispatcher. The
-// release times come back too, so callers sizing per-release state (for
-// example a fault trace over the expanded task set) know the copy
-// count and offsets.
-func ExpandSystem(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
-	rel gen.Release, seed int64) (*taskgraph.Graph, *slicing.Assignment, *sched.Schedule, []rtime.Time, error) {
+// ExpandPlan materializes a plan of a sporadically released system as
+// the plan of a single one-shot system: the base graph g is expanded
+// over the seeded release times of rel (gen.ExpandReleases,
+// release-major), and every release runs under the base window
+// assignment shifted by its release time. The release times come back
+// too, so callers sizing per-release state (for example a fault trace
+// over the expanded task set) know the copy count and offsets.
+func ExpandPlan(g *taskgraph.Graph, asg *slicing.Assignment,
+	rel gen.Release, seed int64) (*taskgraph.Graph, *slicing.Assignment, []rtime.Time, error) {
 
 	times, err := gen.ReleaseTimes(rel, seed)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	expanded, err := gen.ExpandReleases(g, times)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	easg, err := ShiftAssignment(asg, times)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return expanded, easg, times, nil
+}
+
+// ExpandSystem is ExpandPlan with the expanded system scheduled by the
+// time-driven EDF dispatcher.
+func ExpandSystem(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
+	rel gen.Release, seed int64) (*taskgraph.Graph, *slicing.Assignment, *sched.Schedule, []rtime.Time, error) {
+
+	expanded, easg, times, err := ExpandPlan(g, asg, rel, seed)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

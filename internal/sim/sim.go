@@ -18,17 +18,17 @@
 // can be reported as violating under serialization — quantifying how
 // much headroom the nominal model hides.
 //
-// Inject re-executes a plan under a fault trace with the time-driven
-// EDF dispatcher. Like sched.DispatchScratch it tracks readiness
-// incrementally (a ready list, predecessor counters and a message
-// landing table folded in as tasks are placed) instead of rescanning
-// every task and predecessor per decision; its reports are identical to
-// the rescanning executor's, which inject_test.go keeps as the
-// reference.
+// Inject re-executes a plan under a fault trace. It has no dispatcher
+// of its own: it runs sched.Execute, the time-driven EDF dispatcher
+// sched.Dispatch runs, reads the degradation accounting off the
+// executed schedule, and replays that schedule under the faulted timing
+// model. Its reports are identical to those of the rescanning executor
+// inject_test.go keeps as the reference.
 package sim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -48,18 +48,15 @@ type Options struct {
 	// FCFS order of their ready times (ties broken by arc order). When
 	// false the paper's nominal-delay model is used.
 	SerializedBus bool
-	// Faults, when non-nil, switches Replay from verification to
-	// fault-injected execution: the schedule is re-executed by the
-	// time-driven dispatcher under the trace's WCET overruns, processor
-	// degradation/loss, and bus jitter, and the Report describes the
-	// perturbed run (see Inject for the full degradation accounting).
-	// A zero trace reproduces the nominal replay exactly.
+	// Faults is the trace Inject executes under: WCET overruns,
+	// processor degradation/loss, and bus jitter (nil: none). Replay
+	// verifies a given schedule and refuses a set Faults.
 	Faults *faults.Trace
-	// Reclaim enables the online slack-reclamation recovery policy
-	// during fault-injected execution: when a task overruns its window,
-	// the remaining end-to-end slack is redistributed over its pending
-	// descendants using the active metric's virtual costs
-	// (slicing.ReclaimWindows), re-prioritizing the dispatcher.
+	// Reclaim enables Inject's online slack-reclamation recovery
+	// policy: when a task misses its window, the remaining end-to-end
+	// slack is redistributed over its pending descendants using the
+	// active metric's virtual costs (slicing.ReclaimWindows),
+	// re-prioritizing the dispatcher. Replay ignores it.
 	Reclaim bool
 }
 
@@ -126,6 +123,17 @@ func (sl *spanLists) carve(placements []sched.Placement, m int) [][]span {
 	return sl.perProc
 }
 
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // Transfer describes one message movement over the bus.
 type Transfer struct {
 	From, To   int // task IDs
@@ -175,18 +183,14 @@ func (r *Report) violate(format string, args ...any) {
 }
 
 // Replay re-executes schedule s for graph g on platform p under the
-// window assignment asg. When opts.Faults is set the schedule is
-// instead executed under the fault trace (see Inject) and the report
-// describes the perturbed run.
+// window assignment asg and verifies it against the nominal timing
+// model. It executes no fault trace: a set opts.Faults is an error,
+// and Inject is the call that runs one.
 func Replay(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment,
 	s *sched.Schedule, opts Options) (*Report, error) {
 
 	if opts.Faults != nil {
-		ir, err := Inject(g, p, asg, s, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Report, nil
+		return nil, errors.New("sim: Replay runs no fault trace; use Inject")
 	}
 	return replay(g, p, asg, s, opts, nominalTiming(g, p, asg))
 }

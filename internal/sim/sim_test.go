@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/rtime"
 	"repro/internal/sched"
@@ -59,6 +60,19 @@ func TestReplayValidSchedule(t *testing.T) {
 	}
 	if u := r.Utilization(); u < 0.41 || u > 0.42 { // 20 / (24·2)
 		t.Errorf("Utilization = %v", u)
+	}
+}
+
+// Replay only verifies: a fault trace is Inject's to execute.
+func TestReplayRefusesFaults(t *testing.T) {
+	g, p, asg := pipelineFixture(t)
+	s, err := sched.Dispatch(g, p, asg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Replay(g, p, asg, s, Options{Faults: faults.ZeroTrace(g.NumTasks(), p.M())})
+	if err == nil || !strings.Contains(err.Error(), "Inject") {
+		t.Errorf("Replay with a fault trace: err %v, want a refusal naming Inject", err)
 	}
 }
 

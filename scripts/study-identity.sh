@@ -6,12 +6,15 @@
 #
 # Builds BASE's cmd/sweep in a temporary git worktree, which is removed
 # on exit, and the working tree's cmd/sweep, then runs both on the
-# margins, faults, degrade, sched, optgap, mode and adaptn studies at
-# small sample sizes and fails on any difference in their output or
-# exit status. The mode and adaptn studies are the only ones that slice
-# in Faithful mode or with ADAPT-N. A change that alters a study's
-# output on purpose fails it too, which is why this is a make target
-# and not a CI step.
+# margins, faults, degrade, sched, optgap, mode, adaptn and policy
+# studies at small sample sizes, and on the margins and faults studies
+# under sporadic releases, and fails on any difference in their output
+# or exit status. The mode and adaptn studies are the only ones that
+# slice in Faithful mode or with ADAPT-N; policy is the only one that
+# dispatches under DM, FIFO and LLF; the sporadic rows inject faults
+# into release-expanded systems under tiled traces. A change that
+# alters a study's output on purpose fails it too, which is why this is
+# a make target and not a CI step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -62,6 +65,9 @@ sched -study sched -graphs 64
 optgap -study optgap -graphs 64
 mode -study mode -graphs 64
 adaptn -study adaptn -graphs 64
+policy -study policy -graphs 64
+margins-sporadic -study margins -graphs 16 -release sporadic -releases 3 -mit 400
+faults-sporadic -study faults -graphs 32 -release sporadic -releases 3 -mit 400
 EOF
 
 exit "$status"
