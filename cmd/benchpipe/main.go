@@ -35,9 +35,11 @@
 //     re-slice) over a fresh 4,096-plan cache
 //   - serve/decode            graphio.ReadWorkload on the 120-task
 //     request body pland is sent (WriteWorkload's output)
-//   - serve/handler-hit       one cache-hit POST /plan of that body
-//     through server.Handler() in process: body read, decode, lookup,
-//     answer encode and write, without a network
+//   - serve/handler-hit       one repeated POST /plan of that body
+//     through server.Handler() in process, without a network: body
+//     read, SHA-256 of the body and a body-index lookup that finds the
+//     resident plan with no decode, fingerprint or estimate, then the
+//     answer encode and write (serve/decode is the decode it skips)
 //
 // The off/on contrast is the headline number: the plan cache is what
 // makes the robustness bisection affordable. A rebuild is a cold build
@@ -359,8 +361,9 @@ func run(out, check string) error {
 	}
 
 	// The serving layers around a plan, on the same 120-task workload:
-	// the request body as clients send it, decoded alone and then
-	// planned from cache through the whole handler.
+	// the request body as clients send it, decoded alone, and then the
+	// same bytes repeated through the whole handler, which answers them
+	// from the body index without decoding them.
 	var body bytes.Buffer
 	if err := graphio.WriteWorkload(&body, vw.Graph, vw.Platform); err != nil {
 		return err

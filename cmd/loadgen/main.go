@@ -534,35 +534,38 @@ func runPhase(ctx context.Context, cfg phaseConfig) phaseResult {
 		return res
 	}
 
-	// Open loop: a ticker launches at the offered rate; the outstanding
-	// cap bounds client memory, and launches it refuses are reported as
-	// dropped rather than silently rescheduled — offered load does not
-	// bend to the fleet's speed.
-	interval := time.Duration(float64(time.Second) / cfg.rate)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
+	// Open loop: launches keep pace with the offered rate; the
+	// outstanding cap bounds client memory, and launches it refuses are
+	// reported as dropped rather than silently rescheduled — offered load
+	// does not bend to the fleet's speed. A ticker fires at most about
+	// once a millisecond however short its interval, so it ticks at most
+	// once a millisecond and each tick launches every request due by
+	// then: past 1,000/s one tick launches several.
+	interval := max(time.Duration(float64(time.Second)/cfg.rate), time.Millisecond)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	sem := make(chan struct{}, cfg.maxOut)
+	start := time.Now()
 	var n int64
 	for phaseCtx.Err() == nil {
 		select {
 		case <-phaseCtx.Done():
-		case <-ticker.C:
-			n++
-			select {
-			case sem <- struct{}{}:
-				wg.Add(1)
-				go func(n int64) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					one(rand.New(rand.NewSource(cfg.seed+n*7919)), n)
-				}(n)
-			default:
-				mu.Lock()
-				res.dropped++
-				mu.Unlock()
+		case now := <-ticker.C:
+			for due := int64(now.Sub(start).Seconds() * cfg.rate); n < due; {
+				n++
+				select {
+				case sem <- struct{}{}:
+					wg.Add(1)
+					go func(n int64) {
+						defer wg.Done()
+						defer func() { <-sem }()
+						one(rand.New(rand.NewSource(cfg.seed+n*7919)), n)
+					}(n)
+				default:
+					mu.Lock()
+					res.dropped++
+					mu.Unlock()
+				}
 			}
 		}
 	}

@@ -481,6 +481,29 @@ func (b *Builder) Probe(spec Spec) (*Plan, Key, error) {
 	return plan, key, nil
 }
 
+// Resident returns the plan cached under key exactly as BuildContext
+// returns a cache hit: after the same first stage gate (a done context
+// ends it with ctx.Err(), counted as canceled), bumping the key's
+// recency and recording the hit. A caller that already knows the key —
+// from a Probe, or from the serving layer's body index — so skips the
+// estimate and the fingerprint. It returns nil and records nothing when
+// key is not resident or the builder has no cache; it never builds and
+// never joins an in-flight build.
+func (b *Builder) Resident(ctx context.Context, key Key) (*Plan, error) {
+	if err := b.stageGate(ctx); err != nil {
+		return nil, err
+	}
+	if b.Cache == nil {
+		return nil, nil
+	}
+	plan, ok := b.Cache.get(key)
+	if !ok {
+		return nil, nil
+	}
+	b.Recorder.recordHit()
+	return plan, nil
+}
+
 // buildLeader runs the cold build as the owner of an in-flight entry,
 // guaranteeing the flight resolves even when a stage panics (the panic
 // itself propagates on, preserving the worker pool's panic isolation).

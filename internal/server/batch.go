@@ -177,7 +177,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if wk == nil || results[i].Status != "" {
 			continue
 		}
-		out := s.planOne(r.Context(), cfg, wk.crit, wk.g, wk.p)
+		out := s.planOne(r.Context(), cfg, wk.crit, wk.g, wk.p, nil)
 		s.countOutcome(out)
 		results[i] = s.batchResult(out)
 	}

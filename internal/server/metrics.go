@@ -137,6 +137,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			[]row{{"", float64(s.snapLoadedPlans.Load())}}},
 		{"pland_snapshot_errors_total", "counter", "Snapshot saves/loads that failed.",
 			[]row{{"", float64(s.snapErrors.Load())}}},
+		{"pland_body_index_total", "counter", "POST /plan body index outcomes (hit: answered or routed without a decode, stale: indexed but the plan was evicted, miss: no entry).",
+			[]row{
+				{`outcome="hit"`, float64(s.indexHits.Load())},
+				{`outcome="stale"`, float64(s.indexStale.Load())},
+				{`outcome="miss"`, float64(s.indexMiss.Load())},
+			}},
 	}
 	var sb strings.Builder
 	for _, m := range ms {

@@ -113,6 +113,7 @@ var nodeExposition = []string{
 	"pland_snapshot_saved_plans gauge -",
 	"pland_snapshot_loaded_plans_total counter -",
 	"pland_snapshot_errors_total counter -",
+	"pland_body_index_total counter outcome",
 }
 
 // fleetExposition is a fleet node's planning client: its counters and

@@ -4,8 +4,15 @@
 // workloads are answered from cache and concurrent identical requests
 // coalesce onto a single cold build (the cache's singleflight layer).
 //
-// The request path is admission → coalesce → build → respond:
+// The request path is index → admission → coalesce → build → respond:
 //
+//   - index: a /plan body is hashed (SHA-256) before it is decoded. A
+//     body this process has already decoded and answered under the same
+//     configuration is found in the body index (bodyindex.go), which
+//     yields its plan Key: a fleet proxy routes it by that Key, and the
+//     node holding the plan answers from it after admission, with no
+//     decode, fingerprint or estimate. Any other body is decoded as
+//     before and indexed once it is answered 200 at full quality.
 //   - admission: at most MaxInFlight requests plan concurrently; up to
 //     MaxQueue more wait for a slot, and anything beyond that is shed
 //     immediately with 429 and a Retry-After hint — the service degrades
@@ -172,6 +179,8 @@ type Server struct {
 	cache *pipeline.Cache
 	rec   *pipeline.Recorder
 	mux   *http.ServeMux
+	// index maps repeated /plan bodies to plan Keys (bodyindex.go).
+	index *bodyIndex
 
 	// slots is the in-flight semaphore; queued counts requests waiting
 	// for a slot; inFlight gauges requests actually planning.
@@ -208,6 +217,11 @@ type Server struct {
 	routedOut      atomic.Int64 // requests proxied to their owning peer
 	routedFallback atomic.Int64 // proxy exhausted, planned locally instead
 	routedIn       atomic.Int64 // routed requests received from peers
+
+	// Body index outcomes of /plan requests (see bodyindex.go).
+	indexHits  atomic.Int64 // answered or routed without a decode
+	indexStale atomic.Int64 // indexed, but the plan was evicted
+	indexMiss  atomic.Int64 // no entry
 
 	// Warm-fill state and counters (see warmfill.go).
 	hints        hintStore
@@ -249,6 +263,7 @@ func New(opt Options) *Server {
 	s := &Server{
 		opt:   opt,
 		cache: pipeline.NewCache(opt.CacheCapacity),
+		index: newBodyIndex(opt.CacheCapacity),
 		rec:   pipeline.NewRecorder(false),
 		slots: make(chan struct{}, opt.MaxInFlight),
 		rnd:   rand.New(rand.NewSource(randSeed)),
@@ -474,42 +489,89 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, "reading workload: %v", err)
 		return
 	}
-	g, p, _, err := graphio.ParseWorkload(raw)
-	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	if p == nil {
-		s.fail(w, http.StatusUnprocessableEntity, "workload carries no platform; the planner needs one")
-		return
-	}
-
 	routed := r.Header.Get(routedHeader) != ""
 	if routed {
 		s.routedIn.Add(1)
 	}
-	if rt := s.opt.Router; rt != nil && !routed {
-		key := pipeline.Fingerprint(g, p)
-		if target := rt.target(key); target.Name != rt.Self {
-			res, err := rt.Client.Do(r.Context(), client.PlanRequest{
-				Key:         key,
-				Query:       r.URL.RawQuery,
-				Criticality: crit.String(),
-				Routed:      true,
-				Body:        raw,
-			})
-			if err == nil {
-				s.routedOut.Add(1)
-				relay(w, res)
+	proxy := s.opt.Router != nil && !routed
+
+	// A body this process decoded before is routed, or answered from its
+	// resident plan, without a second decode.
+	ik := bodyKey(raw, cfg)
+	key, indexed := s.index.get(ik)
+	var resident *pipeline.Plan
+	if indexed {
+		if proxy {
+			if _, ok := s.route(w, r, key.Workload, crit, raw); ok {
+				s.indexHits.Add(1)
 				return
 			}
-			// Owner and every fallback unreachable: plan here rather than
-			// fail the request. Worse cache locality beats an error.
-			s.routedFallback.Add(1)
+		}
+		if resident, _ = s.cache.Lookup(key); resident != nil {
+			s.indexHits.Add(1)
+		} else {
+			s.indexStale.Add(1)
+		}
+	} else {
+		s.indexMiss.Add(1)
+	}
+
+	var g *taskgraph.Graph
+	var p *arch.Platform
+	if resident == nil {
+		if g, p, _, err = graphio.ParseWorkload(raw); err != nil {
+			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
+		if p == nil {
+			s.fail(w, http.StatusUnprocessableEntity, "workload carries no platform; the planner needs one")
+			return
+		}
+		// A body routed for the first time is indexed, once its owner
+		// answered it, with the Key the owner's decode path computes.
+		if proxy && !indexed {
+			if status, ok := s.route(w, r, pipeline.Fingerprint(g, p), crit, raw); ok {
+				if status == http.StatusOK {
+					if _, k, err := s.builder(cfg, pipeline.QualityFull).Probe(pipeline.Spec{Graph: g, Platform: p}); err == nil {
+						s.index.put(ik, k)
+					}
+				}
+				return
+			}
 		}
 	}
 
-	s.writeOutcome(w, s.planOne(r.Context(), cfg, crit, g, p))
+	out := s.planOne(r.Context(), cfg, crit, g, p, resident)
+	if out.code == http.StatusOK && out.quality == pipeline.QualityFull && !indexed {
+		s.index.put(ik, out.key)
+	}
+	s.writeOutcome(w, out)
+}
+
+// route proxies a /plan body to the live owner of workload when that is
+// another peer, relaying the owner's answer, and reports its status and
+// that it answered. When the owner and every fallback are unreachable it
+// counts a fallback and returns false: the request plans here, since
+// worse cache locality beats an error.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, workload uint64, crit taskgraph.Criticality, raw []byte) (int, bool) {
+	rt := s.opt.Router
+	if rt.target(workload).Name == rt.Self {
+		return 0, false
+	}
+	res, err := rt.Client.Do(r.Context(), client.PlanRequest{
+		Key:         workload,
+		Query:       r.URL.RawQuery,
+		Criticality: crit.String(),
+		Routed:      true,
+		Body:        raw,
+	})
+	if err != nil {
+		s.routedFallback.Add(1)
+		return 0, false
+	}
+	s.routedOut.Add(1)
+	relay(w, res)
+	return res.Status, true
 }
 
 // verifyMode selects the verification stage of a plan request.
@@ -676,7 +738,8 @@ type planOutcome struct {
 	resp       *PlanResponse // non-nil iff code is 200
 	errMsg     string
 	quality    pipeline.Quality
-	retryAfter bool // attach a pressure-scaled Retry-After hint
+	key        pipeline.Key // the served plan's Key when code is 200
+	retryAfter bool         // attach a pressure-scaled Retry-After hint
 }
 
 // planOne plans one workload locally under the full overload policy —
@@ -684,7 +747,10 @@ type planOutcome struct {
 // the brownout ladder. It is the shared core of POST /plan and of each
 // /plan/batch item, which is what makes a batch spend the same
 // admission budget as the equivalent stream of single requests.
-func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Criticality, g *taskgraph.Graph, p *arch.Platform) planOutcome {
+// resident, when non-nil, is the plan the body index found for a /plan
+// body that was not decoded (g and p are then nil): past the same
+// rungs, it answers as the cache hit the decode path would have found.
+func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Criticality, g *taskgraph.Graph, p *arch.Platform, resident *pipeline.Plan) planOutcome {
 	// First rung: while queue delay is over target the optional tier is
 	// refused outright, so the queue seat it would have taken stays
 	// available to mandatory work.
@@ -734,7 +800,14 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 
 	bctx, cancel := context.WithTimeout(ctx, cfg.limit)
 	defer cancel()
+	// A plan the body index found resident stands in for the decode: its
+	// workload plans exactly as the body does, should the plan have been
+	// evicted while this request waited.
+	if resident != nil {
+		g, p = resident.Graph, resident.Platform
+	}
 	spec := pipeline.Spec{Graph: g, Platform: p}
+	b := s.builder(cfg, pipeline.QualityFull)
 
 	// Brownout ladder: decide what this request's cold work may cost.
 	// Cached plans always serve at the quality they were built at; the
@@ -743,17 +816,25 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 	if level := s.adm.currentLevel(); level > brownoutOff {
 		// A resident plan of the requested configuration short-circuits
 		// any rung at full quality.
-		if plan, _, err := s.builder(cfg, pipeline.QualityFull).Probe(spec); err == nil && plan != nil {
+		plan := resident
+		if plan != nil {
+			plan, _ = s.cache.Lookup(plan.Key)
+		} else {
+			plan, _, _ = b.Probe(spec)
+		}
+		if plan != nil {
 			if level == brownoutCacheOnly {
 				s.cacheOnlyHits.Add(1)
 			}
 			return s.respond(cfg, plan, pipeline.QualityFull)
 		}
+		resident = nil
 		cheap, downgraded := cheapen(cfg)
 		switch level {
 		case brownoutCheap:
 			if downgraded {
 				served, quality = cheap, pipeline.QualityDegraded
+				b = s.builder(served, quality)
 			}
 		case brownoutCacheOnly:
 			// No cold builds at all. In fleet mode, sweep the peers'
@@ -761,7 +842,7 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 			// the plan this process never built.
 			if s.opt.Router != nil {
 				s.warmReadThrough(bctx, pipeline.Fingerprint(g, p))
-				if plan, _, err := s.builder(cfg, pipeline.QualityFull).Probe(spec); err == nil && plan != nil {
+				if plan, _, err := b.Probe(spec); err == nil && plan != nil {
 					s.cacheOnlyHits.Add(1)
 					return s.respond(cfg, plan, pipeline.QualityFull)
 				}
@@ -781,30 +862,55 @@ func (s *Server) planOne(ctx context.Context, cfg planConfig, crit taskgraph.Cri
 
 	// A local build on a peer that is not the workload's static owner is
 	// the recovery path — the owner was unreachable, or the client was
-	// re-routed here. Before paying a cold build, read through the other
-	// peers' caches: some replica usually survives a single-peer outage.
-	if rt := s.opt.Router; rt != nil {
+	// re-routed here. Before paying a cold build, and only then, read
+	// through the other peers' caches: some replica usually survives a
+	// single-peer outage. A plan already resident here needs no sweep.
+	if resident == nil && s.opt.Router != nil {
 		if fp := pipeline.Fingerprint(g, p); s.replicaRank(fp) > 0 {
-			s.warmReadThrough(bctx, fp)
+			plan, _, err := b.Probe(spec)
+			switch {
+			case err != nil:
+			case plan != nil:
+				resident = plan
+			default:
+				s.warmReadThrough(bctx, fp)
+			}
 		}
+	}
+	if resident != nil {
+		plan, err := b.Resident(bctx, resident.Key)
+		if err != nil {
+			return buildFailure(cfg.limit, err)
+		}
+		if plan != nil {
+			return s.respond(served, plan, quality)
+		}
+		// Evicted while this request waited: build it again, exactly as
+		// the decode path would.
 	}
 
 	s.inFlight.Add(1)
-	plan, err := s.builder(served, quality).BuildContext(bctx, spec)
+	plan, err := b.BuildContext(bctx, spec)
 	s.inFlight.Add(-1)
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		return planOutcome{code: http.StatusGatewayTimeout,
-			errMsg: fmt.Sprintf("planning exceeded its %v budget", cfg.limit)}
-	case errors.Is(err, context.Canceled):
-		return planOutcome{code: http.StatusServiceUnavailable, errMsg: "request canceled"}
-	default:
-		// Stage errors are properties of the submitted workload
-		// (inconsistent graph, unschedulable windows), not of the server.
-		return planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()}
+	if err != nil {
+		return buildFailure(cfg.limit, err)
 	}
 	return s.respond(served, plan, quality)
+}
+
+// buildFailure maps a failed build or lookup under a limit budget to
+// its outcome.
+func buildFailure(limit time.Duration, err error) planOutcome {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return planOutcome{code: http.StatusGatewayTimeout,
+			errMsg: fmt.Sprintf("planning exceeded its %v budget", limit)}
+	case errors.Is(err, context.Canceled):
+		return planOutcome{code: http.StatusServiceUnavailable, errMsg: "request canceled"}
+	}
+	// Stage errors are properties of the submitted workload
+	// (inconsistent graph, unschedulable windows), not of the server.
+	return planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()}
 }
 
 // respond folds a plan into the 200 outcome, echoing the configuration
@@ -825,6 +931,7 @@ func (s *Server) respond(cfg planConfig, plan *pipeline.Plan, quality pipeline.Q
 	return planOutcome{
 		code:    http.StatusOK,
 		quality: quality,
+		key:     plan.Key,
 		resp: &PlanResponse{
 			Metric:             cfg.metric.Name(),
 			WCET:               cfg.strategy.String(),

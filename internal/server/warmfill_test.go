@@ -490,6 +490,50 @@ func TestReadThroughFallback(t *testing.T) {
 	}
 }
 
+// TestReadThroughOnlyOnMiss: a non-owner peer that already holds the
+// plan answers from its cache without sweeping any peer's digest — the
+// read-through is for a miss that would otherwise pay a cold build.
+func TestReadThroughOnlyOnMiss(t *testing.T) {
+	nodes, ring := newWarmFleet(t, 3, Options{}, warmCopt())
+	body, key := warmSeed(t, ring, nodes[0].srv, "p0")
+	order := ring.Order(key.Workload)
+	owner := byName(t, nodes, order[0].Name)
+	standby := byName(t, nodes, order[1].Name)
+
+	if resp, raw := postPlan(t, owner.ts, "", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner build: %d %s", resp.StatusCode, raw)
+	}
+	if n := standby.srv.WarmFillOnce(context.Background()); n != 1 {
+		t.Fatalf("standby pulled %d plans, want 1", n)
+	}
+
+	req, err := http.NewRequest(http.MethodPost, standby.ts.URL+"/plan", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(routedHeader, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed serve on the standby: %d", resp.StatusCode)
+	}
+
+	text := scrape(t, standby.ts)
+	if got := metricValue(t, text, "pland_warmfill_readthrough_total"); got != 0 {
+		t.Fatalf("read-through sweeps %g with the plan resident, want 0", got)
+	}
+	if got := metricValue(t, text, "pland_builds_total"); got != 0 {
+		t.Fatalf("standby cold-built %g times, want 0", got)
+	}
+	if got := metricValue(t, text, "pland_cache_hits_total"); got != 1 {
+		t.Fatalf("standby hits %g, want 1", got)
+	}
+}
+
 // TestPullCountsMalformedDigestToken: a digest token that does not
 // decode is a peer fault, counted in pland_warmfill_errors_total by the
 // warm-fill round and by a read-through sweep alike.

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Overload smoke of the pland fleet: boot three peers with one planning
-# slot each and a tight queue-delay target, warm a small working set,
-# then offer fresh never-repeated workloads open-loop at far past the
-# sustainable rate. The contract under test is graceful degradation:
+# slot each and a tight queue-delay target, measure how many fresh
+# workloads per second they sustain on this machine, warm a small
+# working set, then offer fresh never-repeated workloads open-loop at
+# twice that rate. The contract under test is graceful degradation:
 # Mandatory availability holds >= 99% (a 429/503 with Retry-After is an
 # honest answer; a timeout or 5xx crash is not), no request fails
 # outright, every peer's criticality rung engages and sheds Optional
@@ -49,20 +50,43 @@ for i in 0 1 2; do
     done
 done
 
+# Phase 0: measure the sustainable rate on this fleet and this machine.
+# How fast a cold build runs depends on both, so a storm rate written
+# down for one machine stops building a queue on a faster one; the
+# storm is derived from a measurement instead. A 1 s open loop far
+# above any plausible rate but capped at $width requests in flight is a
+# closed loop of that width over fresh, never-repeated workloads, every
+# one a cold build; the fleet's capacity is what it answered in that
+# second. The best of three such seconds stands, so a burst from the
+# machine's other tenants in one of them cannot shrink the storm. Their
+# own seeds keep their workloads out of the storm's.
+width=6
+capacity=0
+for k in 1 2 3; do
+    "$tmp/loadgen" -peers "$peers" -duration 0s -concurrency 1 -workloads 1 -seed $((1000000 * k)) \
+        -tasks 120 -optional-frac 0 \
+        -overload-rate 100000 -overload-duration 1s -max-outstanding "$width" \
+        -out "$tmp/capacity.json" 2>>"$tmp/loadgen.log" \
+        || { cat "$tmp/loadgen.log" >&2; fail "capacity measurement failed"; }
+    answered=$(awk '/"overload": \{/ {ov = 1} ov && /^[[:space:]]*"ok":/ {gsub(/[^0-9]/,""); s += $0} END {print s+0}' "$tmp/capacity.json")
+    if [ "$answered" -gt "$capacity" ]; then capacity=$answered; fi
+done
+[ "$capacity" -gt 0 ] || { cat "$tmp/capacity.json" >&2; fail "capacity measurement answered nothing"; }
+storm=$((2 * capacity))
+echo "overload-smoke: fleet sustains ~$capacity fresh workloads/s at width $width; storm at $storm/s"
+
 # Phase 1+2 in one loadgen run: a short closed-loop warmup over a small
-# cycled set, then 2x-plus the sustainable rate of fresh fingerprints
-# (every one a cold build) for 6 s. loadgen itself enforces the 99%
-# mandatory bar for both phases. The storm is calibrated against the
-# fleet as of the zero-alloc cold path: fresh 120-task cold builds run
-# ~1 ms end to end, and 1200/s of them keeps three one-slot peers'
-# worst-window sojourn pinned above the cheap rung without flapping
-# the health probes (rates past ~2x this start timing probes out and
-# turn honest sheds into hard failures).
+# cycled set, then twice the measured sustainable rate of fresh
+# fingerprints (every one a cold build) for 6 s. loadgen itself
+# enforces the 99% mandatory bar for both phases. Twice the capacity
+# keeps three one-slot peers' worst-window sojourn above the cheap rung;
+# far past that, health probes start timing out and honest sheds turn
+# into hard failures.
 "$tmp/loadgen" -peers "$peers" -duration 4s -concurrency 4 -workloads 12 \
     -tasks 120 -optional-frac 0.25 \
-    -overload-rate 1200 -overload-duration 6s -max-outstanding 400 \
+    -overload-rate "$storm" -overload-duration 6s -max-outstanding 400 \
     -min-mandatory-availability 0.99 \
-    -out "$tmp/overload.json" 2>"$tmp/loadgen.log" \
+    -out "$tmp/overload.json" 2>>"$tmp/loadgen.log" \
     || { cat "$tmp/loadgen.log" >&2; fail "availability fell below 99% under overload (or loadgen broke)"; }
 
 # Zero requests failed outright: every tier's "failed" count — main and
@@ -114,4 +138,4 @@ calm_degraded=$(awk '/^[[:space:]]*"degraded":/ {gsub(/[^0-9]/,""); s += $0} END
 [ "$calm_degraded" -eq 0 ] || fail "recovered fleet still served $calm_degraded degraded answers; want 0"
 
 shed=$(awk '/^[[:space:]]*"shed":/ {gsub(/[^0-9]/,""); s += $0} END {print s+0}' "$tmp/overload.json")
-echo "overload-smoke: ok (failed=0, shed=$shed, optional shed/rung entries per peer:$rung, degraded plans=$degraded during the storm, 0 after recovery; brownout walked back to level 0 on all peers)"
+echo "overload-smoke: ok (storm $storm/s against a measured $capacity/s, failed=0, shed=$shed, optional shed/rung entries per peer:$rung, degraded plans=$degraded during the storm, 0 after recovery; brownout walked back to level 0 on all peers)"

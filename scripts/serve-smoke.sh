@@ -1,6 +1,8 @@
 #!/bin/sh
 # Black-box smoke of the planning service (cmd/pland): build it, start
-# it, plan a generated workload twice (cold build, then cache hit),
+# it, plan a generated workload twice (cold build, then a cache hit the
+# body index answers without a decode), then once more re-encoded with
+# extra whitespace (an index miss the decode path answers from cache),
 # check the /metrics accounting, and verify SIGTERM drains cleanly.
 # Exits non-zero on the first broken contract.
 set -eu
@@ -47,6 +49,28 @@ grep -q '^pland_builds_total 1$' "$tmp/metrics" \
     || fail "expected exactly one cold build; metrics: $(grep ^pland_ "$tmp/metrics")"
 grep -q '^pland_cache_hits_total 1$' "$tmp/metrics" \
     || fail "expected one cache hit; metrics: $(grep ^pland_ "$tmp/metrics")"
+grep -q '^pland_body_index_total{outcome="hit"} 1$' "$tmp/metrics" \
+    || fail "expected the repeated body to hit the body index; metrics: $(grep ^pland_body_index "$tmp/metrics")"
+
+# Third plan: the same workload in different bytes. The body index
+# keys on bytes, so it misses; the decode path finds the same plan.
+sed 's/^/ /' "$tmp/workload.json" >"$tmp/workload-spaced.json"
+cmp -s "$tmp/workload.json" "$tmp/workload-spaced.json" && fail "re-encoded workload has the same bytes"
+curl -fsS -X POST --data-binary @"$tmp/workload-spaced.json" \
+    "http://$addr/plan?metric=ADAPT-L" >"$tmp/plan3.json" \
+    || fail "re-encoded plan request failed"
+cmp -s "$tmp/plan1.json" "$tmp/plan3.json" || fail "re-encoded workload's plan differs from the cold build"
+
+curl -fsS "http://$addr/metrics" >"$tmp/metrics"
+grep -q '^pland_builds_total 1$' "$tmp/metrics" \
+    || fail "re-encoded workload was built again; metrics: $(grep ^pland_ "$tmp/metrics")"
+grep -q '^pland_cache_hits_total 2$' "$tmp/metrics" \
+    || fail "expected two cache hits; metrics: $(grep ^pland_ "$tmp/metrics")"
+# One miss for the first POST, one for the re-encoded body.
+grep -q '^pland_body_index_total{outcome="miss"} 2$' "$tmp/metrics" \
+    || fail "expected the re-encoded body to miss the body index; metrics: $(grep ^pland_body_index "$tmp/metrics")"
+grep -q '^pland_body_index_total{outcome="hit"} 1$' "$tmp/metrics" \
+    || fail "expected still one body index hit; metrics: $(grep ^pland_body_index "$tmp/metrics")"
 
 # SIGTERM drains: the process exits 0 and logs the drain.
 kill -TERM "$pid"
