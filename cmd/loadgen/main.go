@@ -31,7 +31,8 @@
 // With -overload-rate set, a second phase follows the main one: fresh,
 // never-repeated workloads (every request a guaranteed cold build) at
 // the given open-loop rate for -overload-duration, reported separately
-// under "overload" with the brownout counters scraped from the fleet.
+// under "overload" with the brownout counters scraped from the fleet
+// and the client's counters across the storm.
 // scripts/overload-smoke.sh uses it to drive the fleet past its
 // sustainable rate and assert the brownout ladder degrades service
 // instead of failing it.
@@ -137,6 +138,8 @@ type OverloadPhase struct {
 	// Dropped counts requests the open loop never launched because the
 	// outstanding cap was full — offered load the client itself shed.
 	Dropped int64 `json:"dropped"`
+	// Client is the fleet client's counters across this phase alone.
+	Client ClientSnap `json:"client"`
 	// Fleet-wide brownout counters scraped after the phase.
 	PlansFull           float64 `json:"plansFull"`
 	PlansDegraded       float64 `json:"plansDegraded"`
@@ -148,7 +151,9 @@ type OverloadPhase struct {
 	BrownoutLevelMax float64 `json:"brownoutLevelMax"`
 }
 
-// ClientSnap folds the fleet client's reliability counters.
+// ClientSnap folds the fleet client's reliability counters. The
+// report's top-level section counts the main phase; the overload
+// phase's counts the storm alone.
 type ClientSnap struct {
 	Attempts        int64 `json:"attempts"`
 	Retries         int64 `json:"retries"`
@@ -322,18 +327,7 @@ func run(ctx context.Context, args []string, stdout, logw io.Writer) error {
 		},
 		Requests:  main.req,
 		LatencyMS: percentiles(main.latencies),
-		Client: ClientSnap{
-			Attempts:        snap.Attempts,
-			Retries:         snap.Retries,
-			Hedges:          snap.Hedges,
-			HedgeWins:       snap.HedgeWins,
-			BreakerRefusals: snap.BreakerRefusals,
-			BreakerOpens:    snap.BreakerOpens,
-			BreakerCloses:   snap.BreakerCloses,
-			ConnectRefused:  snap.Failures[int(cluster.ConnectRefused)],
-			Timeouts:        snap.Failures[int(cluster.Timeout)],
-			HTTPFailures:    snap.Failures[int(cluster.HTTPStatus)],
-		},
+		Client:    clientDelta(snap, client.Snapshot{}),
 	}
 
 	// distinct counts every fingerprint offered; the overload phase's
@@ -363,6 +357,7 @@ func run(ctx context.Context, args []string, stdout, logw io.Writer) error {
 				return makeWorkload(gcfg, *seed+2_000_003+uniq.Add(1))
 			},
 		})
+		storm := clientDelta(cl.Snap(), snap)
 		after := scrapeFleet(scraper, peers, *workloads)
 		rep.Overload = &OverloadPhase{
 			Rate:                *overloadRate,
@@ -370,6 +365,7 @@ func run(ctx context.Context, args []string, stdout, logw io.Writer) error {
 			Requests:            ov.req,
 			LatencyMS:           percentiles(ov.latencies),
 			Dropped:             ov.dropped,
+			Client:              storm,
 			PlansFull:           after.PlansFull - before.PlansFull,
 			PlansDegraded:       after.PlansDegraded - before.PlansDegraded,
 			AdmissionShed:       sumPeer(after, func(p PeerStats) float64 { return p.AdmissionShed }) - sumPeer(before, func(p PeerStats) float64 { return p.AdmissionShed }),
@@ -417,6 +413,24 @@ func run(ctx context.Context, args []string, stdout, logw io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// clientDelta folds the fleet client's counters gained from before to
+// now into the report's form.
+func clientDelta(now, before client.Snapshot) ClientSnap {
+	failures := func(k cluster.ErrKind) int64 { return now.Failures[int(k)] - before.Failures[int(k)] }
+	return ClientSnap{
+		Attempts:        now.Attempts - before.Attempts,
+		Retries:         now.Retries - before.Retries,
+		Hedges:          now.Hedges - before.Hedges,
+		HedgeWins:       now.HedgeWins - before.HedgeWins,
+		BreakerRefusals: now.BreakerRefusals - before.BreakerRefusals,
+		BreakerOpens:    now.BreakerOpens - before.BreakerOpens,
+		BreakerCloses:   now.BreakerCloses - before.BreakerCloses,
+		ConnectRefused:  failures(cluster.ConnectRefused),
+		Timeouts:        failures(cluster.Timeout),
+		HTTPFailures:    failures(cluster.HTTPStatus),
+	}
 }
 
 // makeWorkload generates one workload from a seed and returns its

@@ -63,6 +63,46 @@ func TestLoadgenAgainstFleet(t *testing.T) {
 	}
 }
 
+// TestLoadgenOverloadClientCounters: the overload phase reports the
+// client's counters across the storm, so every request it answered
+// shows up there as at least one attempt, apart from the main phase's.
+func TestLoadgenOverloadClientCounters(t *testing.T) {
+	ts0 := httptest.NewServer(server.New(server.Options{}).Handler())
+	defer ts0.Close()
+	ts1 := httptest.NewServer(server.New(server.Options{}).Handler())
+	defer ts1.Close()
+
+	var out, logs bytes.Buffer
+	err := run(context.Background(), []string{
+		"-peers", fmt.Sprintf("p0=%s,p1=%s", ts0.URL, ts1.URL),
+		"-duration", "300ms",
+		"-concurrency", "2",
+		"-workloads", "2",
+		"-overload-rate", "40",
+		"-overload-duration", "500ms",
+	}, &out, &logs)
+	if err != nil {
+		t.Fatalf("run: %v\nlog: %s", err, logs.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report does not parse: %v\n%s", err, out.String())
+	}
+	answered := func(r Requests) int64 {
+		return r.Mandatory.OK + r.Mandatory.Shed + r.Optional.OK + r.Optional.Shed
+	}
+	ov := rep.Overload
+	if ov == nil {
+		t.Fatal("no overload section")
+	}
+	if n := answered(ov.Requests); ov.Client.Attempts == 0 || ov.Client.Attempts < n {
+		t.Fatalf("overload client attempts %d for %d answered storm requests", ov.Client.Attempts, n)
+	}
+	if n := answered(rep.Requests); rep.Client.Attempts < n {
+		t.Fatalf("main-phase client attempts %d for %d answered requests", rep.Client.Attempts, n)
+	}
+}
+
 // TestLoadgenAvailabilityBar: a fleet of one dead peer cannot clear a
 // positive availability bar, and the run says so with an error.
 func TestLoadgenAvailabilityBar(t *testing.T) {

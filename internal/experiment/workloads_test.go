@@ -18,22 +18,20 @@ import (
 )
 
 // workloadSum checksums everything a study reads from a workload: the
-// canonical encoding of its graph and platform, its average work and
-// its release times.
+// canonical encoding of its graph and platform and its average work.
 func workloadSum(t *testing.T, w *gen.Workload) [sha256.Size]byte {
 	t.Helper()
 	var b bytes.Buffer
 	if err := graphio.WriteWorkload(&b, w.Graph, w.Platform); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&b, "avgWork %d releases %v", w.AvgWork, w.Releases)
+	fmt.Fprintf(&b, "avgWork %d", w.AvgWork)
 	return sha256.Sum256(b.Bytes())
 }
 
 // memoConfigs returns one generator configuration of each family the
 // studies draw from: the paper's default, pinned boundary tasks with
-// shared resources, mixed criticality, fork-join structure and sporadic
-// releases expanded by the generator.
+// shared resources, mixed criticality and fork-join structure.
 func memoConfigs() map[string]gen.Config {
 	def := gen.Default(3)
 	def.OLR = DefaultOLR
@@ -43,10 +41,8 @@ func memoConfigs() map[string]gen.Config {
 	opt.OptionalProb = 0.4
 	fj := def
 	fj.Shape = gen.ForkJoin
-	spor := def
-	spor.Release = gen.Release{Mode: gen.ReleaseSporadic, Count: 2, MinGap: 1 << 20, Jitter: 64}
 	return map[string]gen.Config{"default": def, "pins+resources": pins, "optional": opt,
-		"fork-join": fj, "sporadic": spor}
+		"fork-join": fj}
 }
 
 // runAllStudies carries small samples through all six study entry
@@ -58,7 +54,7 @@ func runAllStudies(t *testing.T, pipe pipeline.Shared) {
 	cfgs := memoConfigs()
 	const graphs, master = 4, 7
 	metric, params := slicing.AdaptL(), slicing.CalibratedParams()
-	for _, name := range []string{"default", "pins+resources", "fork-join", "sporadic"} {
+	for _, name := range []string{"default", "pins+resources", "fork-join"} {
 		pt := Run(Config{Gen: cfgs[name], Metric: metric, Params: params, WCET: wcet.AVG,
 			NumGraphs: graphs, MasterSeed: master, Workers: 4, Pipe: pipe})
 		if pt.Errors != 0 {
@@ -213,7 +209,7 @@ func TestConcurrentStudiesShareWorkloads(t *testing.T) {
 // A memoized workload is the one gen.Generate builds, for every
 // configuration family, and a repeated request returns the same
 // pointer. Configurations that differ in any field, even only in the
-// seed, the laxity ratio or the release count, never share an entry.
+// seed, the laxity ratio or the task count bound, never share an entry.
 func TestWorkloadMemoIsGenerate(t *testing.T) {
 	c := newWorkloadMemo(workloadMemoCap)
 	var cfgs []gen.Config
@@ -223,13 +219,13 @@ func TestWorkloadMemoIsGenerate(t *testing.T) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	base := memoConfigs()["sporadic"]
+	base := memoConfigs()["default"]
 	base.Seed = 3
-	seed, olr, count := base, base, base
+	seed, olr, tasks := base, base, base
 	seed.Seed++
 	olr.OLR += 0.1
-	count.Release.Count++
-	cfgs = append(cfgs, base, seed, olr, count)
+	tasks.MaxTasks++
+	cfgs = append(cfgs, base, seed, olr, tasks)
 
 	seen := map[*gen.Workload]gen.Config{}
 	for _, cfg := range cfgs {

@@ -85,12 +85,6 @@ type Config struct {
 	// processor whose class it can execute on. 0 for the paper's
 	// relaxed-constraints experiments.
 	PinProb float64
-	// Release selects single-shot (the paper's model, the zero value —
-	// workloads stay byte-identical) or sporadic recurring releases:
-	// the generated graph is expanded into Release.Count copies with
-	// seeded release times at least MinGap apart, each delayed by up to
-	// Jitter (see ExpandReleases).
-	Release Release
 	// Shape selects the structural family of the generated graphs
 	// (default Layered, the paper's §5.2 generator).
 	Shape Shape
@@ -158,7 +152,7 @@ func (c Config) Validate() error {
 	case math.IsNaN(c.OptionalProb) || c.OptionalProb < 0 || c.OptionalProb > 1:
 		return fmt.Errorf("gen: OptionalProb %v outside [0, 1]", c.OptionalProb)
 	}
-	return c.Release.Validate()
+	return nil
 }
 
 // Workload is one generated experiment instance: an application task
@@ -168,12 +162,8 @@ type Workload struct {
 	Platform *arch.Platform
 	// AvgWork is the average accumulated task graph workload (the OLR
 	// denominator): the sum over tasks of the mean valid execution
-	// time. For sporadic workloads it is the per-release value.
+	// time.
 	AvgWork rtime.Time
-	// Releases lists the seeded release times of a sporadic workload
-	// (Graph is then the release-major expansion over them); nil for
-	// single-shot workloads.
-	Releases []rtime.Time
 }
 
 // SubSeed derives the idx-th independent sub-seed from a master seed
@@ -268,22 +258,7 @@ func Generate(cfg Config) (*Workload, error) {
 			}
 		}
 	}
-	// Sporadic release expansion, last so the single-shot draw streams
-	// above stay untouched (Mode = ReleaseSingle is byte-identical to
-	// pre-extension generation).
-	var releases []rtime.Time
-	if cfg.Release.Mode != ReleaseSingle {
-		times, err := ReleaseTimes(cfg.Release, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g, err = ExpandReleases(g, times)
-		if err != nil {
-			return nil, err
-		}
-		releases = times
-	}
-	return &Workload{Graph: g, Platform: platform, AvgWork: avgWork, Releases: releases}, nil
+	return &Workload{Graph: g, Platform: platform, AvgWork: avgWork}, nil
 }
 
 // optionalSeedMix decorrelates the criticality-labelling stream from the

@@ -8,7 +8,7 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// ReleaseMode selects how often a generated application is released.
+// ReleaseMode selects how often an application is released.
 type ReleaseMode int
 
 const (
@@ -44,8 +44,10 @@ func ParseReleaseMode(s string) (ReleaseMode, error) {
 	return ReleaseSingle, fmt.Errorf("gen: unknown release mode %q (want single or sporadic)", s)
 }
 
-// Release parameterizes recurring releases of a generated application.
-// The zero value is the single-shot model.
+// Release parameterizes recurring releases of an application. The
+// graph is planned once; ReleaseTimes and ExpandReleases, bundled with
+// the window shift by sim.ExpandPlan, unroll the plan over the
+// releases. The zero value is the single-shot model.
 type Release struct {
 	// Mode selects single-shot or sporadic release.
 	Mode ReleaseMode

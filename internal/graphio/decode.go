@@ -10,7 +10,7 @@ import (
 
 // parseCanonical fills wl from b in one pass when b is in the canonical
 // form and reports whether it was. The canonical form is what
-// WriteWorkload and WriteWorkloadRelease emit, with any spacing:
+// WriteWorkload emits, with any spacing:
 //
 //   - keys spelled exactly as the struct tags (Name and Speed inside
 //     classes), each at most once per object;
@@ -32,9 +32,6 @@ func parseCanonical(b []byte, wl *WorkloadJSON) bool {
 		case "platform":
 			wl.Platform = new(PlatformJSON)
 			return s.platform(wl.Platform)
-		case "release":
-			wl.Release = new(ReleaseJSON)
-			return s.release(wl.Release)
 		}
 		return false
 	}) {
@@ -159,22 +156,6 @@ func (s *scanner) link() (LinkJSON, bool) {
 		return ok
 	})
 	return l, ok
-}
-
-func (s *scanner) release(r *ReleaseJSON) bool {
-	return s.object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "mode":
-			r.Mode, ok = s.string()
-		case "count":
-			r.Count, ok = s.int()
-		case "minGap":
-			r.MinGap, ok = s.time()
-		case "jitter":
-			r.Jitter, ok = s.time()
-		}
-		return ok
-	})
 }
 
 // maxKeys bounds the keys of one canonical object; TaskJSON has the

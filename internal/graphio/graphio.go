@@ -7,12 +7,13 @@
 // types.
 //
 // Reading has a canonical fast path and a reference. Input in the form
-// WriteWorkload and WriteWorkloadRelease emit is scanned in one pass
-// without reflection; anything else is handed, as the same bytes, to
-// encoding/json, the reference, so every input decodes to encoding/json's
-// result and error text. Either way the decoded values share no memory
-// with the input: a server that caches plans must not pin request
-// bodies. The planning service appends its answers by hand in the same
+// WriteWorkload emits is scanned in one pass without reflection;
+// anything else is handed, as the same bytes, to encoding/json, the
+// reference, so every input decodes to encoding/json's result and
+// error text. A key outside the format, such as the release block
+// older files carry, is such input: encoding/json ignores it. Either
+// way the decoded values share no memory with the input: a server that
+// caches plans must not pin request bodies. The planning service appends its answers by hand in the same
 // spirit, byte-identical to encoding/json's indented encoding.
 package graphio
 
@@ -23,7 +24,6 @@ import (
 	"io"
 
 	"repro/internal/arch"
-	"repro/internal/gen"
 	"repro/internal/rtime"
 	"repro/internal/sched"
 	"repro/internal/slicing"
@@ -77,50 +77,10 @@ type LinkJSON struct {
 	PerItem rtime.Time `json:"perItem"`
 }
 
-// ReleaseJSON is the serialized release policy of a workload: how often
-// the whole graph re-arrives. Absent (or mode "single") means the
-// paper's single-shot model.
-type ReleaseJSON struct {
-	Mode   string     `json:"mode"`
-	Count  int        `json:"count,omitempty"`
-	MinGap rtime.Time `json:"minGap,omitempty"`
-	Jitter rtime.Time `json:"jitter,omitempty"`
-}
-
-// WorkloadJSON bundles a graph with the platform it targets and an
-// optional release policy.
+// WorkloadJSON bundles a graph with the platform it targets.
 type WorkloadJSON struct {
 	Graph    GraphJSON     `json:"graph"`
 	Platform *PlatformJSON `json:"platform,omitempty"`
-	Release  *ReleaseJSON  `json:"release,omitempty"`
-}
-
-// EncodeRelease converts a release policy to its serialized form.
-func EncodeRelease(rel gen.Release) ReleaseJSON {
-	out := ReleaseJSON{Mode: rel.Mode.String()}
-	if rel.Mode == gen.ReleaseSporadic {
-		out.Count, out.MinGap, out.Jitter = rel.Count, rel.MinGap, rel.Jitter
-	}
-	return out
-}
-
-// DecodeRelease rebuilds and validates a release policy.
-func DecodeRelease(in ReleaseJSON) (gen.Release, error) {
-	mode, err := gen.ParseReleaseMode(in.Mode)
-	if err != nil {
-		return gen.Release{}, fmt.Errorf("graphio: %w", err)
-	}
-	rel := gen.Release{Mode: mode}
-	if mode == gen.ReleaseSporadic {
-		rel.Count, rel.MinGap, rel.Jitter = in.Count, in.MinGap, in.Jitter
-	} else if in.Count != 0 || in.MinGap != 0 || in.Jitter != 0 {
-		return gen.Release{}, fmt.Errorf("graphio: single-shot release carries sporadic parameters (count %d, minGap %d, jitter %d)",
-			in.Count, in.MinGap, in.Jitter)
-	}
-	if err := rel.Validate(); err != nil {
-		return gen.Release{}, fmt.Errorf("graphio: %w", err)
-	}
-	return rel, nil
 }
 
 // EncodeGraph converts a frozen graph to its serialized form.
@@ -308,24 +268,10 @@ func ValidateEligibility(g *taskgraph.Graph, p *arch.Platform) error {
 
 // WriteWorkload writes a workload as indented JSON.
 func WriteWorkload(w io.Writer, g *taskgraph.Graph, p *arch.Platform) error {
-	return WriteWorkloadRelease(w, g, p, gen.Release{})
-}
-
-// WriteWorkloadRelease writes a workload with a release policy; the
-// single-shot zero value is omitted from the file, keeping it
-// byte-identical to WriteWorkload's output.
-func WriteWorkloadRelease(w io.Writer, g *taskgraph.Graph, p *arch.Platform, rel gen.Release) error {
-	if err := rel.Validate(); err != nil {
-		return fmt.Errorf("graphio: %w", err)
-	}
 	wl := WorkloadJSON{Graph: EncodeGraph(g)}
 	if p != nil {
 		pj := EncodePlatform(p)
 		wl.Platform = &pj
-	}
-	if rel.Mode != gen.ReleaseSingle {
-		rj := EncodeRelease(rel)
-		wl.Release = &rj
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -333,27 +279,16 @@ func WriteWorkloadRelease(w io.Writer, g *taskgraph.Graph, p *arch.Platform, rel
 }
 
 // ReadWorkload parses a workload written by WriteWorkload. The platform
-// may be absent, in which case it is returned as nil. A release policy
-// in the file is validated but dropped; use ReadWorkloadRelease to keep
-// it.
+// may be absent, in which case it is returned as nil. It reads all of
+// r, and decodes what it read as ParseWorkload does.
 func ReadWorkload(r io.Reader) (*taskgraph.Graph, *arch.Platform, error) {
-	g, p, _, err := ReadWorkloadRelease(r)
-	return g, p, err
-}
-
-// ReadWorkloadRelease parses a workload together with its release
-// policy. A file without a release block yields the single-shot zero
-// value; a malformed block (unknown mode, zero count or gap, jitter at
-// or above the gap) is an error, not a silent single-shot fallback.
-// It reads all of r, and decodes what it read as ParseWorkload does.
-func ReadWorkloadRelease(r io.Reader) (*taskgraph.Graph, *arch.Platform, gen.Release, error) {
 	var buf bytes.Buffer
 	if l, ok := r.(interface{ Len() int }); ok {
 		// Room for the final read to see EOF without growing.
 		buf.Grow(l.Len() + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, nil, gen.Release{}, fmt.Errorf("graphio: %w", err)
+		return nil, nil, fmt.Errorf("graphio: %w", err)
 	}
 	return ParseWorkload(buf.Bytes())
 }
@@ -363,41 +298,34 @@ func ReadWorkloadRelease(r io.Reader) (*taskgraph.Graph, *arch.Platform, gen.Rel
 // doc) takes the one-pass scanner; anything else is decoded by
 // encoding/json, so every input gets encoding/json's result and error
 // text. Nothing returned aliases b.
-func ParseWorkload(b []byte) (*taskgraph.Graph, *arch.Platform, gen.Release, error) {
+func ParseWorkload(b []byte) (*taskgraph.Graph, *arch.Platform, error) {
 	var wl WorkloadJSON
 	if !parseCanonical(b, &wl) {
 		wl = WorkloadJSON{}
 		if err := json.NewDecoder(bytes.NewReader(b)).Decode(&wl); err != nil {
-			return nil, nil, gen.Release{}, fmt.Errorf("graphio: %w", err)
+			return nil, nil, fmt.Errorf("graphio: %w", err)
 		}
 	}
 	return decodeWorkload(wl)
 }
 
 // decodeWorkload rebuilds and validates a decoded workload.
-func decodeWorkload(wl WorkloadJSON) (*taskgraph.Graph, *arch.Platform, gen.Release, error) {
+func decodeWorkload(wl WorkloadJSON) (*taskgraph.Graph, *arch.Platform, error) {
 	g, err := DecodeGraph(wl.Graph)
 	if err != nil {
-		return nil, nil, gen.Release{}, err
+		return nil, nil, err
 	}
 	var p *arch.Platform
 	if wl.Platform != nil {
 		p, err = DecodePlatform(*wl.Platform)
 		if err != nil {
-			return nil, nil, gen.Release{}, err
+			return nil, nil, err
 		}
 		if err := ValidateEligibility(g, p); err != nil {
-			return nil, nil, gen.Release{}, err
+			return nil, nil, err
 		}
 	}
-	var rel gen.Release
-	if wl.Release != nil {
-		rel, err = DecodeRelease(*wl.Release)
-		if err != nil {
-			return nil, nil, gen.Release{}, err
-		}
-	}
-	return g, p, rel, nil
+	return g, p, nil
 }
 
 // ResultJSON serializes one pipeline outcome for archival.

@@ -245,7 +245,7 @@ func TestReadWorkloadRejectsImpossiblePins(t *testing.T) {
 				if took := checkAgainstReference(t, data); took != (path == "one-pass") {
 					t.Fatalf("%s input: one-pass decoder took it = %v", path, took)
 				}
-				_, _, _, err := ParseWorkload(data)
+				_, _, err := ParseWorkload(data)
 				var pe *PinError
 				if !errors.As(err, &pe) {
 					t.Fatalf("%s: want PinError, got %v", path, err)
@@ -264,7 +264,7 @@ func TestReadWorkloadRejectsImpossiblePins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ParseWorkload(data); err != nil {
+	if _, _, err := ParseWorkload(data); err != nil {
 		t.Fatalf("eligible pin rejected: %v", err)
 	}
 }

@@ -172,7 +172,18 @@ func (o VerifyOutcome) String() string {
 // memory from sc and must accept nil.
 type Verifier struct {
 	Name string
-	Run  func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error)
+	// Dispatcher names the one dispatcher whose schedules the verdict
+	// speaks for; empty means any. A verifier that models one
+	// dispatcher instead of reading the schedule declares it here, and
+	// a Builder refuses to pair it with another (see SoundUnder).
+	Dispatcher string
+	Run        func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, sc *feas.Scratch) (VerifyOutcome, error)
+}
+
+// SoundUnder reports whether v's verdict holds for the schedules d
+// produces: v declares no dispatcher, or declares d.
+func (v Verifier) SoundUnder(d Dispatcher) bool {
+	return v.Dispatcher == "" || v.Dispatcher == d.Name
 }
 
 // FeasVerifier runs the fast necessary feasibility conditions; a
@@ -354,11 +365,23 @@ func (b *Builder) dispatcher() Dispatcher {
 	return b.Dispatcher
 }
 
+// checkSound refuses a verifier paired with a dispatcher its verdict
+// says nothing about, so no plan carries a proof of a schedule other
+// than its own.
+func (b *Builder) checkSound() error {
+	if d := b.dispatcher(); !b.Verifier.SoundUnder(d) {
+		return fmt.Errorf("pipeline: verifier %s holds only under the %s dispatcher, not %s",
+			b.Verifier.Name, b.Verifier.Dispatcher, d.Name)
+	}
+	return nil
+}
+
 // Build executes the pipeline on one workload and returns its Plan,
 // consulting the cache first when one is configured. Stage errors
 // propagate unwrapped (and uncached), exactly as the hand-rolled call
-// sequences did. Build never gives up early: it is BuildContext under
-// the background context.
+// sequences did. A verifier that is not sound under the builder's
+// dispatcher is an error before any stage runs. Build never gives up
+// early: it is BuildContext under the background context.
 func (b *Builder) Build(spec Spec) (*Plan, error) {
 	return b.BuildContext(context.Background(), spec)
 }
@@ -378,6 +401,9 @@ func (b *Builder) Build(spec Spec) (*Plan, error) {
 func (b *Builder) BuildContext(ctx context.Context, spec Spec) (*Plan, error) {
 	if spec.Graph == nil || spec.Platform == nil {
 		return nil, fmt.Errorf("pipeline: Spec needs a graph and a platform")
+	}
+	if err := b.checkSound(); err != nil {
+		return nil, err
 	}
 	if err := b.stageGate(ctx); err != nil {
 		return nil, err
@@ -457,10 +483,14 @@ func (b *Builder) buildKeyed(ctx context.Context, spec Spec, dist deadline.Distr
 // plan (nil on a miss, or when the builder has no cache) alongside the
 // key, so a caller refusing cold work under overload can answer from
 // residency alone. Probe is a pure lookup: it records neither hits nor
-// builds in the Recorder and never joins an in-flight build.
+// builds in the Recorder and never joins an in-flight build. It
+// refuses an unsound verifier as BuildContext does.
 func (b *Builder) Probe(spec Spec) (*Plan, Key, error) {
 	if spec.Graph == nil || spec.Platform == nil {
 		return nil, Key{}, fmt.Errorf("pipeline: Spec needs a graph and a platform")
+	}
+	if err := b.checkSound(); err != nil {
+		return nil, Key{}, err
 	}
 	est := spec.Estimates
 	if est == nil {

@@ -69,8 +69,9 @@ func (rp *Replanner) Rebuild(prev *Plan, delta Delta) (*Plan, RebuildOutcome, er
 // workload under delta's estimates would produce — same fingerprint,
 // assignment, schedule, and verdict — while reusing prev's workload
 // fingerprint in place of a re-hash. Cache and recorder behavior match
-// BuildContext's: hits coalesce and are reported as RebuildHit. The
-// outcome means nothing when err is non-nil.
+// BuildContext's: hits coalesce and are reported as RebuildHit, and an
+// unsound verifier is refused. The outcome means nothing when err is
+// non-nil.
 func (rp *Replanner) RebuildContext(ctx context.Context, prev *Plan, delta Delta) (*Plan, RebuildOutcome, error) {
 	b := rp.b
 	if prev == nil {
@@ -81,6 +82,9 @@ func (rp *Replanner) RebuildContext(ctx context.Context, prev *Plan, delta Delta
 	}
 	if n := prev.Graph.NumTasks(); len(delta.Estimates) != n {
 		return nil, RebuildIncremental, fmt.Errorf("pipeline: %d estimates for %d tasks", len(delta.Estimates), n)
+	}
+	if err := b.checkSound(); err != nil {
+		return nil, RebuildIncremental, err
 	}
 	est := append([]rtime.Time(nil), delta.Estimates...)
 

@@ -104,7 +104,8 @@ func TestAppendPlanResponseMatchesEncoder(t *testing.T) {
 // TestPlanAnswerIsEncodingJSON: every 200 body of POST /plan, across
 // every metric, WCET strategy, dispatcher and verify mode, and at full
 // and degraded quality, is exactly encoding/json's indented encoding of
-// the PlanResponse it carries, with a matching Content-Length.
+// the PlanResponse it carries, with a matching Content-Length. A body
+// with a release block gets the answer of the body without it.
 func TestPlanAnswerIsEncodingJSON(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv.Handler())
@@ -145,6 +146,17 @@ func TestPlanAnswerIsEncodingJSON(t *testing.T) {
 		// A loose and a tight workload: feasible and infeasible plans.
 		check(q, workloadBody(t, int64(500+i)), "full")
 		check(q, tightWorkloadBody(t, int64(600+i)), "full")
+	}
+	// A release block, well-formed or not, is a key outside the
+	// workload format: the body gets the answer of the same body
+	// without it, byte for byte.
+	plain := workloadBody(t, 500)
+	_, want := postPlan(t, ts, queries[0], plain)
+	for _, block := range []string{`{"mode":"sporadic","count":3,"minGap":5000,"jitter":40}`, `{"mode":"every-tuesday"}`} {
+		body := append([]byte(`{"release":`+block+`,`), plain[1:]...)
+		if resp, raw := postPlan(t, ts, queries[0], body); resp.StatusCode != http.StatusOK || !bytes.Equal(raw, want) {
+			t.Fatalf("release block %s: status %d, answer\n%s\nwant\n%s", block, resp.StatusCode, raw, want)
+		}
 	}
 	forceBrownout(srv, brownoutCheap)
 	check("metric=ADAPT-L&verify=feas", workloadBody(t, 700), "degraded")

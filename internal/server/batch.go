@@ -140,7 +140,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()})
 			continue
 		}
-		g, p, _, err := graphio.ParseWorkload(it.Workload)
+		g, p, err := graphio.ParseWorkload(it.Workload)
 		if err != nil {
 			results[i] = s.batchResult(planOutcome{code: http.StatusUnprocessableEntity, errMsg: err.Error()})
 			continue

@@ -519,7 +519,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var g *taskgraph.Graph
 	var p *arch.Platform
 	if resident == nil {
-		if g, p, _, err = graphio.ParseWorkload(raw); err != nil {
+		if g, p, err = graphio.ParseWorkload(raw); err != nil {
 			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
@@ -681,37 +681,42 @@ func (s *Server) parsePlanConfig(q url.Values) (planConfig, error) {
 	if cfg.verify, err = verifyModeByName(mode); err != nil {
 		return cfg, err
 	}
-	// The analytic proof models the time-driven EDF dispatcher's busy
-	// waits; under any other dispatcher its bounds say nothing.
-	if (cfg.verify == verifyAnalytic || cfg.verify == verifyAnalyticFirst) &&
-		cfg.disp.Name != pipeline.TimeDriven().Name {
-		return cfg, fmt.Errorf("verify=%s requires the time-driven dispatcher (got %s)", cfg.verify, cfg.disp.Name)
+	// The pipeline refuses a verifier that is not sound under the
+	// dispatcher; refusing here answers before the body is read.
+	if v := verifierFor(cfg.verify); !v.SoundUnder(cfg.disp) {
+		return cfg, fmt.Errorf("verify=%s requires the %s dispatcher (got %s)", cfg.verify, v.Dispatcher, cfg.disp.Name)
 	}
 	return cfg, nil
+}
+
+// verifierFor is the pipeline verifier of a verification mode; the zero
+// Verifier, which skips the stage, for verifyOff.
+func verifierFor(mode verifyMode) pipeline.Verifier {
+	switch mode {
+	case verifyFeas:
+		return pipeline.FeasVerifier()
+	case verifyAnalytic:
+		return verify.AnalyticVerifier()
+	case verifyReplay:
+		return verify.ReplayVerifier()
+	case verifyAnalyticFirst:
+		return verify.AnalyticFirstVerifier()
+	}
+	return pipeline.Verifier{}
 }
 
 // builder materializes the pipeline builder for cfg; plans it builds
 // cold carry the quality tag.
 func (s *Server) builder(cfg planConfig, quality pipeline.Quality) *pipeline.Builder {
-	b := &pipeline.Builder{
+	return &pipeline.Builder{
 		Estimator:   pipeline.StrategyEstimator(cfg.strategy),
 		Distributor: deadline.Sliced{Metric: cfg.metric, Params: slicing.CalibratedParams()},
 		Dispatcher:  cfg.disp,
+		Verifier:    verifierFor(cfg.verify),
 		Cache:       s.cache,
 		Recorder:    s.rec,
 		Quality:     quality,
 	}
-	switch cfg.verify {
-	case verifyFeas:
-		b.Verifier = pipeline.FeasVerifier()
-	case verifyAnalytic:
-		b.Verifier = verify.AnalyticVerifier()
-	case verifyReplay:
-		b.Verifier = verify.ReplayVerifier()
-	case verifyAnalyticFirst:
-		b.Verifier = verify.AnalyticFirstVerifier()
-	}
-	return b
 }
 
 // cheapen strips cfg to the brownout build — the PURE metric (identity

@@ -27,12 +27,14 @@ func outcome(v Verdict) pipeline.VerifyOutcome {
 // conservative — Accepted proves every deadline met under the
 // time-driven EDF dispatcher and the nominal bus, Rejected proves a
 // miss, anything it cannot prove is Inconclusive (including analysis
-// input errors, which are swallowed like FeasVerifier's). Pair it with
-// a different dispatcher or a serialized-bus replay and its Accepted
-// no longer applies; the serving layer gates on the dispatcher name.
+// input errors, which are swallowed like FeasVerifier's). It declares
+// the time-driven dispatcher, so a Builder refuses to pair it with any
+// other; under a serialized-bus replay its Accepted no longer applies
+// either.
 func AnalyticVerifier() pipeline.Verifier {
 	return pipeline.Verifier{
-		Name: "analytic",
+		Name:       "analytic",
+		Dispatcher: pipeline.TimeDriven().Name,
 		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, _ *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
 			res, err := Analyze(g, p, asg)
 			if err != nil {
@@ -72,10 +74,13 @@ func replayOutcome(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment
 // AnalyticFirstVerifier runs the cheap analysis and falls back to the
 // replay simulator only when the analysis proves nothing — the
 // verify-before-dispatch fast path: workloads the analysis can decide
-// cost O(iterations), the rest keep the replay's exact answer.
+// cost O(iterations), the rest keep the replay's exact answer. Its
+// Accept may be the analysis's, so it declares the time-driven
+// dispatcher as AnalyticVerifier does.
 func AnalyticFirstVerifier() pipeline.Verifier {
 	return pipeline.Verifier{
-		Name: "analytic-first",
+		Name:       "analytic-first",
+		Dispatcher: pipeline.TimeDriven().Name,
 		Run: func(g *taskgraph.Graph, p *arch.Platform, asg *slicing.Assignment, s *sched.Schedule, _ *feas.Scratch) (pipeline.VerifyOutcome, error) {
 			if res, err := Analyze(g, p, asg); err == nil && res.Verdict != Inconclusive {
 				return outcome(res.Verdict), nil

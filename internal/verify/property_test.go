@@ -6,6 +6,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/pipeline"
 	"repro/internal/rtime"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/verify"
 )
@@ -142,5 +143,62 @@ func TestAnalyticConservativeSporadic(t *testing.T) {
 	t.Logf("sporadic corpus: %d accept / %d inconclusive of %d", accepts, inconclusive, graphs)
 	if accepts == 0 {
 		t.Error("sporadic corpus produced no analytic accepts — the fast path never fires; retune the corpus")
+	}
+}
+
+// The analysis models the time-driven dispatcher, so its Accept says
+// nothing about another dispatcher's schedule: on gen.Default(3) at OLR
+// 0.7, seed 73, the insertion dispatcher misses a deadline in windows
+// the analysis accepts. Both analytic verifiers declare the time-driven
+// dispatcher, and every pipeline entry point refuses them under any
+// other before a stage runs; the verifiers that read the schedule they
+// are given build under every dispatcher.
+func TestAnalyticVerifierRefusesOtherDispatchers(t *testing.T) {
+	cfg := gen.Default(3)
+	cfg.OLR, cfg.Seed = 0.7, 73
+	w := gen.MustGenerate(cfg)
+	spec := pipeline.Spec{Graph: w.Graph, Platform: w.Platform}
+
+	plain, err := (&pipeline.Builder{Dispatcher: pipeline.Insertion()}).Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := verify.Analyze(w.Graph, w.Platform, plain.Assignment); err != nil ||
+		res.Verdict != verify.Accept || plain.Schedule.Feasible {
+		t.Fatalf("seed 73 no longer shows the hazard: analysis %v (%v), insertion schedule feasible %v",
+			res.Verdict, err, plain.Schedule.Feasible)
+	}
+
+	others := []pipeline.Dispatcher{pipeline.Planner(), pipeline.Insertion(), pipeline.Preemptive(),
+		pipeline.WithPolicy(sched.LLFPolicy)}
+	for _, v := range []pipeline.Verifier{verify.AnalyticVerifier(), verify.AnalyticFirstVerifier()} {
+		for _, d := range others {
+			b := &pipeline.Builder{Dispatcher: d, Verifier: v}
+			if p, err := b.Build(spec); err == nil {
+				t.Errorf("%s under %s: built a plan with proof %v", v.Name, d.Name, p.Verdict.Proof)
+			}
+			if _, _, err := b.Probe(spec); err == nil {
+				t.Errorf("%s under %s: Probe accepted the builder", v.Name, d.Name)
+			}
+			if _, _, err := b.NewReplanner().Rebuild(plain, pipeline.EstimatesDelta(plain.Estimates)); err == nil {
+				t.Errorf("%s under %s: Rebuild accepted the builder", v.Name, d.Name)
+			}
+		}
+		for _, d := range []pipeline.Dispatcher{{}, pipeline.TimeDriven()} {
+			p, err := (&pipeline.Builder{Dispatcher: d, Verifier: v}).Build(spec)
+			if err != nil {
+				t.Fatalf("%s under the time-driven dispatcher: %v", v.Name, err)
+			}
+			if p.Verdict.Proof == pipeline.VerifyAccepted && !p.Schedule.Feasible {
+				t.Errorf("%s: accepted an infeasible time-driven schedule", v.Name)
+			}
+		}
+	}
+	for _, v := range []pipeline.Verifier{verify.ReplayVerifier(), pipeline.FeasVerifier()} {
+		for _, d := range append(others, pipeline.TimeDriven()) {
+			if _, err := (&pipeline.Builder{Dispatcher: d, Verifier: v}).Build(spec); err != nil {
+				t.Errorf("%s under %s: %v", v.Name, d.Name, err)
+			}
+		}
 	}
 }
